@@ -25,6 +25,7 @@ identical run.
 
 from __future__ import annotations
 
+import math
 import re
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -126,7 +127,10 @@ def _convert(key: str, kind: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("must be finite")
+            return value
         if kind == "bool":
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
@@ -135,6 +139,8 @@ def _convert(key: str, kind: str, raw: str):
             parts = [float(p) for p in raw.split()]
             if len(parts) != 3:
                 raise ValueError("expected 3 numbers")
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("must be finite")
             return np.array(parts)
         return raw
     except ValueError as exc:

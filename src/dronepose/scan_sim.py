@@ -26,6 +26,7 @@ import numpy as np
 from .geom import Pose, _vec, is_rotation, rotation_about_axis, rotation_log
 
 _RAY_EPS = 1e-9
+_BOUND_PAD = 1e-6     # relative and absolute (m) growth of bounding spheres
 _CHUNK_FIRINGS = 512
 
 
@@ -235,20 +236,31 @@ class Scene:
     Blob scatter is materialized from (seed, primitive index) so a
     scene rebuilds identically; rays starting inside a primitive yield
     no return from it.
+
+    Each box and each blob also gets an enclosing sphere, inflated by
+    ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only
+    on the rays that can meet its sphere (bounding-volume culling, Kay &
+    Kajiya, SIGGRAPH 1986). Every (ray, primitive) distance is computed
+    as without culling and the minimum is exact, so returns are
+    bit-identical.
     """
 
     def __init__(self, primitives, seed: int = 0):
         self.primitives = list(primitives)
         centers, radii = [], []
-        self.boxes = []
+        lone = []                 # indices of standalone spheres in ``centers``
+        self.groups = []          # (exact test, arg, arg) for each bounded primitive
+        bounds = []               # (center, radius) of the sphere enclosing each group
         self.rects = []
         for idx, prim in enumerate(self.primitives):
             if prim.kind == "sphere":
+                lone.append(len(centers))
                 centers.append(prim.center)
                 radii.append(prim.dimensions[0] / 2.0)
             elif prim.kind == "box":
                 half = prim.dimensions / 2.0
-                self.boxes.append((prim.center - half, prim.center + half))
+                self.groups.append((_ray_box, prim.center - half, prim.center + half))
+                bounds.append((prim.center, np.linalg.norm(half)))
             elif prim.kind == "ground_plane":
                 self.rects.append((prim.center[2], prim.center[0], prim.center[1],
                                    prim.dimensions[0] / 2.0, prim.dimensions[1] / 2.0))
@@ -258,24 +270,53 @@ class Scene:
                 raw /= np.linalg.norm(raw, axis=1, keepdims=True)
                 dist = prim.scatter_radius * np.cbrt(rng.uniform(size=prim.count))
                 pts = prim.center + raw * dist[:, None]
+                r = prim.dimensions[0] / 2.0
+                self.groups.append((_ray_spheres, pts, np.full(prim.count, r)))
+                bounds.append((prim.center, prim.scatter_radius + r))
                 centers.extend(pts)
-                radii.extend([prim.dimensions[0] / 2.0] * prim.count)
+                radii.extend([r] * prim.count)
         self.sphere_centers = np.asarray(centers, dtype=float).reshape(-1, 3)
         self.sphere_radii = np.asarray(radii, dtype=float)
+        self.lone_centers = self.sphere_centers[lone]
+        self.lone_radii = self.sphere_radii[lone]
+        self.bound_centers = np.array([c for c, _ in bounds], dtype=float).reshape(-1, 3)
+        self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
     def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0):
         """Smallest positive hit distance per ray (inf = no hit)."""
         t = np.full(len(origins), np.inf)
-        if len(self.sphere_centers):
-            t = np.minimum(t, _ray_spheres(origins, dirs, self.sphere_centers, self.sphere_radii))
-        for lo, hi in self.boxes:
-            t = np.minimum(t, _ray_box(origins, dirs, lo, hi))
+        if len(self.lone_centers):
+            t = np.minimum(t, _ray_spheres(origins, dirs, self.lone_centers, self.lone_radii))
+        if self.groups:
+            cand = _may_hit(origins[None] - self.bound_centers[:, None], dirs,
+                            self.bound_radii[:, None])
+            for (exact, a, b), rays in zip(self.groups, cand):
+                sel = np.flatnonzero(rays)
+                if len(sel):
+                    t[sel] = np.minimum(t[sel], exact(origins[sel], dirs[sel], a, b))
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            t = np.minimum(t, _ray_box(origins, dirs, drone_centers - drone_half,
-                                       drone_centers + drone_half))
+            sel = np.flatnonzero(_may_hit(origins - drone_centers, dirs,
+                                          _pad(np.sqrt(3.0) * drone_half)))
+            if len(sel):
+                c = drone_centers[sel]
+                t[sel] = np.minimum(t[sel], _ray_box(origins[sel], dirs[sel],
+                                                     c - drone_half, c + drone_half))
         return t
+
+
+def _pad(radius):
+    """Bounding radius grown so rounding in the exact tests cannot escape it."""
+    return radius * (1.0 + _BOUND_PAD) + _BOUND_PAD
+
+
+def _may_hit(offsets, dirs, radius):
+    """Broad phase: True where a ray, given as origin minus sphere center
+    and unit direction, can meet the sphere at a positive distance."""
+    b = np.einsum("...d,...d->...", offsets, dirs)
+    c = np.einsum("...d,...d->...", offsets, offsets) - radius * radius
+    return (c <= 0.0) | ((b <= 0.0) & (b * b >= c))
 
 
 def _ray_spheres(origins, dirs, centers, radii):

@@ -15,6 +15,8 @@ import numpy as np
 from .depth_image import ProjectionParams, project
 from .detector import KernelParams, detect
 
+_SUPPORT_BLOCK = 16384     # points per block when selecting the mean-shift support
+
 
 class TargetLostError(RuntimeError):
     """No scan points fell inside the refinement neighborhood."""
@@ -57,7 +59,10 @@ def mean_shift_refine(points, start, params: MeanShiftParams,
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     estimate = np.asarray(start, dtype=float).copy()
     if len(pts):
-        support = pts[np.linalg.norm(pts - estimate, axis=1) <= params.radius]
+        # Block-wise, so a full sweep's temporaries stay small and reused.
+        support = np.concatenate([
+            blk[np.linalg.norm(blk - estimate, axis=1) <= params.radius]
+            for blk in (pts[i:i + _SUPPORT_BLOCK] for i in range(0, len(pts), _SUPPORT_BLOCK))])
     else:
         support = pts
     if len(support) == 0:

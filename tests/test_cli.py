@@ -1,10 +1,13 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dronepose.cli import main
 from conftest import manhattan_scenario_text
+
+EXP1 = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_gentle_drift.scenario"
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +124,19 @@ class TestConsoleEntry:
             [sys.executable, "-m", "dronepose.cli", "run"],
             capture_output=True, text=True)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("override", [
+        "duration=nan",                     # used to loop forever
+        "drone.width=nan",                  # used to end in a traceback from the detector
+        "drone.waypoint.1.position=2 inf 12",
+    ])
+    def test_non_finite_override_exits_one(self, override, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "dronepose.cli", "run", "--scenario", str(EXP1),
+             "--out", str(tmp_path / "nf"), "--overrides", override],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        key = override.partition("=")[0]
+        assert f"error: {key}: cannot parse" in result.stderr
+        assert "must be finite" in result.stderr
+        assert "Traceback" not in result.stderr

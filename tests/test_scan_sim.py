@@ -16,6 +16,9 @@ from dronepose.scan_sim import (
     observe_vds,
     simulate_full_scan,
     simulate_vibration_frame,
+    _ray_box,
+    _ray_rect_z,
+    _ray_spheres,
 )
 from conftest import static_trajectory
 
@@ -52,6 +55,129 @@ class TestPrimitives:
         b = Scene([prim], seed=9)
         assert np.array_equal(a.sphere_centers, b.sphere_centers)
         assert np.all(np.linalg.norm(a.sphere_centers - (5, 5, 5), axis=1) <= 2.0)
+
+
+def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
+    """Reference without culling: every ray against every primitive."""
+    t = np.full(len(origins), np.inf)
+    if len(scene.sphere_centers):
+        t = np.minimum(t, _ray_spheres(origins, dirs, scene.sphere_centers, scene.sphere_radii))
+    for prim in scene.primitives:
+        c, half = prim.center, prim.dimensions / 2.0
+        if prim.kind == "box":
+            t = np.minimum(t, _ray_box(origins, dirs, c - half, c + half))
+        elif prim.kind == "ground_plane":
+            t = np.minimum(t, _ray_rect_z(origins, dirs, c[2], c[0], c[1], half[0], half[1]))
+    if drone_centers is not None and drone_half > 0.0:
+        t = np.minimum(t, _ray_box(origins, dirs, drone_centers - drone_half,
+                                   drone_centers + drone_half))
+    return t
+
+
+def unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def random_scene(rng):
+    prims = [ScenePrimitive("ground_plane", (0.0, 0.0, rng.uniform(-2, 0)), (60.0, 50.0, 1.0))]
+    for _ in range(rng.integers(1, 4)):
+        prims.append(ScenePrimitive("box", rng.uniform(-12, 12, 3), rng.uniform(0.5, 6, 3)))
+    for _ in range(rng.integers(1, 4)):
+        prims.append(ScenePrimitive("sparse_blob", rng.uniform(-12, 12, 3),
+                                    (rng.uniform(0.1, 0.6),) * 3,
+                                    count=int(rng.integers(1, 30)),
+                                    scatter_radius=rng.uniform(0.5, 4.0)))
+    for _ in range(rng.integers(0, 4)):
+        prims.append(ScenePrimitive("sphere", rng.uniform(-12, 12, 3), (rng.uniform(0.2, 3),) * 3))
+    return Scene(prims, seed=int(rng.integers(100)))
+
+
+def grazing_rays(rng, centers, radii):
+    """Rays tangent to each sphere, from origins 1-30 m away along the tangent."""
+    normal = unit(rng.normal(size=centers.shape))
+    along = unit(np.cross(normal, rng.normal(size=centers.shape)))
+    touch = centers + radii[:, None] * normal
+    origins = touch - rng.uniform(1.0, 30.0, size=(len(centers), 1)) * along
+    return origins, along
+
+
+def edge_case_rays(rng, scene):
+    """Origins and directions covering the broad phase's edge cases."""
+    n = 400
+    origins = [rng.uniform(-20, 20, (n, 3))]
+    dirs = [unit(rng.normal(size=(n, 3)))]
+    # zero direction components: axis-aligned and in-plane rays, signed zeros
+    axis = np.zeros((n, 3))
+    axis[np.arange(n), rng.integers(0, 3, n)] = rng.choice((-1.0, 1.0), n)
+    planar = unit(rng.normal(size=(n, 3)))
+    planar[np.arange(n), rng.integers(0, 3, n)] = rng.choice((0.0, -0.0), n)
+    origins += [rng.uniform(-20, 20, (n, 3)), rng.uniform(-20, 20, (n, 3))]
+    dirs += [axis, unit(planar)]
+    # origins inside blob spheres and at the centers of the bounds
+    for pts in (scene.sphere_centers, scene.bound_centers):
+        if len(pts):
+            pick = pts[rng.integers(0, len(pts), n)] + rng.normal(0.0, 0.01, (n, 3))
+            origins.append(pick)
+            dirs.append(unit(rng.normal(size=(n, 3))))
+    # rays grazing the padded bounds, the small spheres and the box corners
+    for centers, radii in ((scene.bound_centers, scene.bound_radii),
+                           (scene.sphere_centers, scene.sphere_radii)):
+        if len(centers):
+            o, d = grazing_rays(rng, centers, radii)
+            origins.append(o)
+            dirs.append(d)
+    for prim in scene.primitives:
+        if prim.kind == "box":
+            corners = prim.center + prim.dimensions / 2.0 * rng.choice((-1.0, 1.0), (50, 3))
+            o = rng.uniform(-25, 25, (50, 3))
+            origins.append(o)
+            dirs.append(unit(corners - o))
+    return np.concatenate(origins), np.concatenate(dirs)
+
+
+class TestBroadPhase:
+    """Culled nearest_hit returns the same bits as the all-pairs cast."""
+
+    def test_random_scenes_match_dense_reference(self):
+        rng = np.random.default_rng(20861)
+        hits = 0
+        for _ in range(25):
+            scene = random_scene(rng)
+            origins, dirs = edge_case_rays(rng, scene)
+            got = scene.nearest_hit(origins, dirs)
+            assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
+            hits += np.count_nonzero(np.isfinite(got))
+        assert hits > 10_000
+
+    def test_drone_boxes_with_per_ray_centers(self):
+        rng = np.random.default_rng(20862)
+        for half in (0.05, 0.25, 1.5):
+            scene = random_scene(rng)
+            origins, dirs = edge_case_rays(rng, scene)
+            drone = origins + 6.0 * dirs + rng.normal(0.0, 2.0 * half, origins.shape)
+            drone[::7] = origins[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
+            got = scene.nearest_hit(origins, dirs, drone, half)
+            ref = dense_nearest_hit(scene, origins, dirs, drone, half)
+            assert np.array_equal(got, ref)
+            assert np.count_nonzero(got < dense_nearest_hit(scene, origins, dirs)) > 100
+
+    def test_empty_scene(self):
+        rng = np.random.default_rng(3)
+        origins, dirs = rng.uniform(-5, 5, (50, 3)), unit(rng.normal(size=(50, 3)))
+        scene = Scene([])
+        assert np.all(np.isinf(scene.nearest_hit(origins, dirs)))
+        drone = origins + 3.0 * dirs
+        got = scene.nearest_hit(origins, dirs, drone, 0.25)
+        assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, 0.25))
+        assert np.all(np.isfinite(got))
+
+    def test_single_ray(self):
+        rng = np.random.default_rng(4)
+        scene = random_scene(rng)
+        origins, dirs = edge_case_rays(rng, scene)
+        for i in range(0, len(origins), 37):
+            o, d = origins[i][None], dirs[i][None]
+            assert np.array_equal(scene.nearest_hit(o, d), dense_nearest_hit(scene, o, d))
 
 
 class TestFullScan:

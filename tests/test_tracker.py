@@ -63,6 +63,19 @@ class TestMeanShiftRefine:
                                     params.iterations)
             assert np.max(np.abs(out - ref)) < 1e-12
 
+    def test_block_wise_support_matches_whole_array(self, params, rng):
+        # sweep-sized input spanning several support blocks, partial last block;
+        # every third point lies outside the support, the rest inside it
+        start = rng.uniform(-0.5, 0.5, size=3)
+        pts = start + rng.uniform(-0.55, 0.55, size=(3 * 16384 + 17, 3))
+        pts[1::3, 0] += 5.0
+        support = pts[np.linalg.norm(pts - start, axis=1) <= params.radius]
+        estimate = start.copy()
+        for _ in range(params.iterations):
+            weights = np.exp(-np.sum((support - estimate) ** 2, axis=1) / params.bandwidth)
+            estimate = (weights @ support) / np.sum(weights)
+        assert np.array_equal(mean_shift_refine(pts, start, params), estimate)
+
     def test_gaussian_cluster_near_weighted_centroid(self, params):
         rng = np.random.default_rng(42)
         c = np.array([1.0, -2.0, 14.0])
