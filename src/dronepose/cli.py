@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .pipeline import (
@@ -42,35 +43,25 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+# metrics.txt names; mean_frame_time is left out so that a sweep table is reproducible.
+SWEEP_COLUMNS = ("pos_rmse_x", "pos_rmse_y", "pos_rmse_z",
+                 "rot_rmse_deg_x", "rot_rmse_deg_y", "rot_rmse_deg_z", "n_frames", "k_init")
+
+
 def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    header = ("param,value,pos_rmse_x,pos_rmse_y,pos_rmse_z,"
-              "rot_rmse_rx_deg,rot_rmse_ry_deg,rot_rmse_rz_deg,n_frames,k_init")
-    rows = [header]
+    rows = [",".join(("param", "value") + SWEEP_COLUMNS)]
     for value in values:
         overrides = _parse_overrides(args.overrides)
         overrides[args.param] = value
         scenario = load_scenario(args.scenario, overrides=overrides, seed=args.seed)
-        report = compute_metrics(run(scenario))
-
-        def fmt(arr, i):
-            return "absent" if arr is None else repr(float(arr[i]))
-
-        rows.append(",".join([
-            args.param, value,
-            fmt(report.pos_rmse, 0), fmt(report.pos_rmse, 1), fmt(report.pos_rmse, 2),
-            fmt(report.rot_rmse_deg, 0), fmt(report.rot_rmse_deg, 1),
-            fmt(report.rot_rmse_deg, 2),
-            str(report.n_frames),
-            "absent" if report.k_init is None else str(report.k_init),
-        ]))
+        metrics = compute_metrics(run(scenario)).as_dict()
+        rows.append(",".join([args.param, value] + [metrics[c] for c in SWEEP_COLUMNS]))
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
             fh.write(table)

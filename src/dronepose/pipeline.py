@@ -25,21 +25,24 @@ identical run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import time as _time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .detector import KernelParams, NoCandidatesError
 from .depth_image import ProjectionParams
-from .geom import Pose, euler_to_rotation, euler_xyz, orthonormalize
+from .geom import GimbalLockError, Pose, euler_to_rotation, euler_xyz, orthonormalize
 from .scan_sim import (
     DroneModel,
     IndirectObsModel,
     LidarModel,
     MotorState,
+    ScanFrame,
     Scene,
     ScenePrimitive,
     Trajectories,
@@ -51,7 +54,6 @@ from .scan_sim import (
 )
 from .tracker import MeanShiftParams, TrackState, acquire, track_step
 from .vp_rot import (
-    AmbiguousMatchError,
     MotionAccumulator,
     RotationFilterState,
     accumulate_motion,
@@ -249,8 +251,10 @@ def _waypoints_to_trajectory(entries: list, duration: float, label: str) -> Traj
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    raw = _collect_raw(text, source)
+    return _build_scenario(_collect_raw(text, source))
 
+
+def _build_scenario(raw: dict) -> Scenario:
     resolved = {}
     values = {}
     for key, (kind, default) in _SCHEMA.items():
@@ -368,22 +372,16 @@ def load_scenario(path, overrides=None, seed=None) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    if overrides or seed is not None:
-        lines = [line for line in text.splitlines()]
-        replaced = dict(overrides or {})
-        if seed is not None:
-            replaced["seed"] = str(seed)
-        out = []
-        for line in lines:
-            stripped = line.strip()
-            key = stripped.partition("=")[0].strip() if "=" in stripped else None
-            if key in replaced:
-                out.append(f"{key} = {replaced.pop(key)}")
-            else:
-                out.append(line)
-        out.extend(f"{k} = {v}" for k, v in replaced.items())
-        text = "\n".join(out) + "\n"
-    return parse_scenario(text, source=str(path))
+    raw = _collect_raw(text, str(path))
+    seed_override = {} if seed is None else {"seed": seed}
+    for key, value in {**(overrides or {}), **seed_override}.items():
+        key, value = str(key).strip(), str(value).strip()
+        if not key or not value:
+            raise ScenarioError(f"override '{key}={value}': empty key or value")
+        if key not in _SCHEMA and not _INDEXED.match(key):
+            raise ScenarioError(f"override '{key}={value}': unknown key {key!r}")
+        raw[key] = value
+    return _build_scenario(raw)
 
 
 @dataclass
@@ -403,142 +401,165 @@ class RunRecord:
     frame_compute_times: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def run(scenario: Scenario) -> RunRecord:
-    """Execute one scenario end to end; deterministic for a given seed."""
-    rng = np.random.default_rng(scenario.seed)
-    scene = Scene(scenario.primitives, seed=scenario.seed)
-    traj = scenario.trajectories
-    sweep_omega = scenario.sweep_rpm * 2.0 * np.pi / 60.0
-    sweep_duration = np.pi / sweep_omega
-    period = scenario.vibration_period
+@dataclass
+class _VibrationInputs:
+    """One vibration frame as the vehicle senses it, plus the truth to score it."""
 
-    rot_state = RotationFilterState(
-        rotation=orthonormalize(scenario.initial_rotation),
-        max_rate=scenario.max_rotation_rate,
-        last_time=0.0,
-    )
-    accumulator = MotionAccumulator(
-        window=scenario.motion_window,
-        frame_gap=scenario.motion_frame_gap,
-        cone=scenario.motion_cone,
-        min_distance=scenario.motion_min_distance,
-    )
+    scan: ScanFrame
+    t_mid: float
+    start: Pose                    # vehicle pose at the frame start, the scan's frame
+    vehicle: Pose                  # vehicle pose at the frame midpoint
+    vehicle_vds: np.ndarray
+    drone_vds: np.ndarray
+    ego: np.ndarray | None         # drone's own motion direction over the frame gap
+    truth_position: np.ndarray
+    truth_rotation: np.ndarray
 
-    times, est_pos, truth_pos = [], [], []
-    est_rot, truth_rot, status, corrected_flags, compute_times = [], [], [], [], []
-    world_hist, time_hist = [], []
-    state: TrackState | None = None
-    acquisition_time = None
-    reacquisitions = 0
-    corrected = False
-    k_init = None
-    t = 0.0
 
-    while True:
-        if state is None or state.status == "lost":
-            if t + sweep_duration > scenario.duration + 1e-9:
-                break
-            motor = MotorState(mode="sweep", angle=0.0, angular_velocity=sweep_omega)
-            frame = simulate_full_scan(scene, traj, scenario.lidar, motor, t,
-                                       drone=scenario.drone, rng=rng)
-            t += sweep_duration
-            was_locked_before = acquisition_time is not None
-            try:
-                state = acquire(frame, scenario.projection, scenario.kernel,
-                                scenario.meanshift)
-            except NoCandidatesError:
-                state = None
-                continue
-            if was_locked_before:
-                reacquisitions += 1
-            else:
-                acquisition_time = t
-            continue
+class _SimSource:
+    """The simulated sensor: owns the RNG, the scene, the trajectories and the clock.
 
-        if t + period > scenario.duration + 1e-9:
-            break
-        t_start = t
-        t_mid = t_start + period / 2.0
-        motor = MotorState(
-            mode="vibrate",
-            vibrate_center=state.pointing_azimuth,
-            vibrate_amplitude=scenario.vibration_amplitude,
-            vibrate_period=period,
-        )
-        frame = simulate_vibration_frame(scene, traj, scenario.lidar, motor, t_start,
-                                         drone=scenario.drone, rng=rng)
-        t += period
+    A vibration frame draws scan noise, vehicle VDs, drone VDs, then the ego
+    direction: on request, once ``motion_frame_gap`` earlier frames exist.
+    """
 
-        tic = _time.perf_counter()
-        state = track_step(state, frame, scenario.meanshift)
+    def __init__(self, scenario: Scenario):
+        self.sc = scenario
+        self.rng = np.random.default_rng(scenario.seed)
+        self.scene = Scene(scenario.primitives, seed=scenario.seed)
+        self.sweep_omega = scenario.sweep_rpm * 2.0 * np.pi / 60.0
+        self.t = 0.0
+        self.mid_times = deque(maxlen=scenario.motion_frame_gap + 1)
 
-        align_rot = traj.vehicle.rotation_at(t_start)
-        align_pos = traj.vehicle.position_at(t_start)
-        world_hist.append(align_rot @ state.position + align_pos)
-        time_hist.append(t_mid)
+    def sweep(self) -> ScanFrame | None:
+        """The next full acquisition sweep, or None when it would pass the duration."""
+        sweep_duration = np.pi / self.sweep_omega
+        if self.t + sweep_duration > self.sc.duration + 1e-9:
+            return None
+        motor = MotorState(mode="sweep", angle=0.0, angular_velocity=self.sweep_omega)
+        scan = simulate_full_scan(self.scene, self.sc.trajectories, self.sc.lidar, motor,
+                                  self.t, drone=self.sc.drone, rng=self.rng)
+        self.t += sweep_duration
+        return scan
 
-        veh_rot_mid = traj.vehicle.rotation_at(t_mid)
-        veh_pos_mid = traj.vehicle.position_at(t_mid)
-        vehicle_pose = Pose(veh_rot_mid, veh_pos_mid, frame="world")
+    def vibration(self, azimuth: float, want_ego: bool) -> _VibrationInputs | None:
+        """The next vibration frame centred on ``azimuth``, or None past the duration."""
+        sc, traj, period = self.sc, self.sc.trajectories, self.sc.vibration_period
+        if self.t + period > sc.duration + 1e-9:
+            return None
+        t_start, t_mid = self.t, self.t + period / 2.0
+        motor = MotorState(mode="vibrate", vibrate_center=azimuth,
+                           vibrate_amplitude=sc.vibration_amplitude, vibrate_period=period)
+        scan = simulate_vibration_frame(self.scene, traj, sc.lidar, motor, t_start,
+                                        drone=sc.drone, rng=self.rng)
+        self.t += period
+        self.mid_times.append(t_mid)
+        start, vehicle = traj.vehicle.pose_at(t_start), traj.vehicle.pose_at(t_mid)
         drone_pose = traj.drone.pose_at(t_mid)
-        v_vehicle = observe_vds(vehicle_pose, scenario.obs, rng)
-        v_drone = observe_vds(drone_pose, scenario.obs, rng)
-        try:
-            match = match_vds(v_vehicle, v_drone, rot_state.rotation)
-            measured = estimate_rotation(v_vehicle, match.apply(v_drone), match.residuals)
-            rot_state = filter_rotation(rot_state, measured, t_mid)
-        except AmbiguousMatchError:
-            pass
+        v_vehicle = observe_vds(vehicle, sc.obs, self.rng)
+        v_drone = observe_vds(drone_pose, sc.obs, self.rng)
+        ego = None
+        if want_ego and len(self.mid_times) > sc.motion_frame_gap:
+            with contextlib.suppress(ValueError):   # no motion over the gap
+                ego = observe_ego_direction(traj.drone.pose_at(self.mid_times[0]), drone_pose,
+                                            sigma=sc.obs.ego_noise, rng=self.rng)
+        return _VibrationInputs(
+            scan, t_mid, start, vehicle, v_vehicle, v_drone, ego,
+            truth_position=start.rotation.T @ (traj.drone.position_at(t_mid) - start.translation),
+            truth_rotation=vehicle.rotation.T @ traj.drone.rotation_at(t_mid))
 
-        if not corrected:
-            frame_index = len(world_hist) - 1
-            ego = None
-            if frame_index >= accumulator.frame_gap:
-                try:
-                    ego = observe_ego_direction(
-                        traj.drone.pose_at(time_hist[frame_index - accumulator.frame_gap]),
-                        drone_pose,
-                        sigma=scenario.obs.ego_noise,
-                        rng=rng,
-                    )
-                except ValueError:
-                    ego = None
-            emission = accumulate_motion(accumulator, world_hist, ego,
-                                         veh_rot_mid, rot_state.rotation)
+
+class _Estimator:
+    """The per-frame estimator: mean-shift tracking, VD rotation, heading repair.
+
+    Stages are called through this module's names (``acquire``, ``track_step``,
+    ``match_vds``, ...), so that a profiler rebinding those names sees every call.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.sc = scenario
+        self.track: TrackState | None = None
+        self.rot = RotationFilterState(orthonormalize(scenario.initial_rotation),
+                                       max_rate=scenario.max_rotation_rate, last_time=0.0)
+        self.motion = MotionAccumulator(
+            window=scenario.motion_window, frame_gap=scenario.motion_frame_gap,
+            cone=scenario.motion_cone, min_distance=scenario.motion_min_distance)
+        # World positions of the latest frames: all that accumulate_motion reads.
+        self.world = deque(maxlen=scenario.motion_frame_gap + 1)
+        self.frames = 0
+        self.corrected = False
+        self.k_init: int | None = None
+
+    def acquire(self, scan) -> bool:
+        """Lock on a full sweep; False when the detector finds no candidate."""
+        try:
+            self.track = acquire(scan, self.sc.projection, self.sc.kernel, self.sc.meanshift)
+        except NoCandidatesError:
+            self.track = None
+        return self.track is not None
+
+    def step(self, inputs: _VibrationInputs) -> None:
+        """Track, update the rotation, and try the heading repair for one frame."""
+        self.track = track_step(self.track, inputs.scan, self.sc.meanshift)
+        self.world.append(inputs.start.rotation @ self.track.position + inputs.start.translation)
+        try:
+            match = match_vds(inputs.vehicle_vds, inputs.drone_vds, self.rot.rotation)
+            measured = estimate_rotation(inputs.vehicle_vds, match.apply(inputs.drone_vds),
+                                         match.residuals)
+        except ValueError:
+            pass    # ambiguous match or degenerate directions: keep the prior
+        else:
+            self.rot = filter_rotation(self.rot, measured, inputs.t_mid)
+        if not self.corrected:
+            emission = accumulate_motion(self.motion, self.world, inputs.ego,
+                                         inputs.vehicle.rotation, self.rot.rotation)
             if emission is not None:
-                observed_sum, self_sum = emission
                 try:
-                    fixed = correct_rotation(rot_state.rotation, veh_rot_mid,
-                                             observed_sum, self_sum)
+                    fixed = correct_rotation(self.rot.rotation, inputs.vehicle.rotation, *emission)
                 except ValueError:
                     pass
                 else:
-                    rot_state = replace(rot_state, rotation=orthonormalize(fixed))
-                    corrected = True
-                    k_init = len(times)
-        compute_times.append(_time.perf_counter() - tic)
+                    self.rot = replace(self.rot, rotation=orthonormalize(fixed))
+                    self.corrected, self.k_init = True, self.frames
+        self.frames += 1
 
-        times.append(t_mid)
-        est_pos.append(state.position.copy())
-        truth_pos.append(align_rot.T @ (traj.drone.position_at(t_mid) - align_pos))
-        est_rot.append(rot_state.rotation.copy())
-        truth_rot.append(veh_rot_mid.T @ traj.drone.rotation_at(t_mid))
-        status.append(state.status)
-        corrected_flags.append(corrected)
 
-    n = len(times)
+def run(scenario: Scenario) -> RunRecord:
+    """Execute one scenario end to end; deterministic for a given seed.
+
+    The simulated sensor feeds the estimator; only the estimator step is timed.
+    """
+    source, est = _SimSource(scenario), _Estimator(scenario)
+    rows, lock_times = [], []
+    while True:
+        if est.track is None or est.track.status == "lost":
+            scan = source.sweep()
+            if scan is None:
+                break
+            if est.acquire(scan):
+                lock_times.append(source.t)
+            continue
+        inputs = source.vibration(est.track.pointing_azimuth, want_ego=not est.corrected)
+        if inputs is None:
+            break
+        tic = _time.perf_counter()
+        est.step(inputs)
+        elapsed = _time.perf_counter() - tic
+        rows.append((inputs.t_mid, est.track.position, inputs.truth_position, est.rot.rotation,
+                     inputs.truth_rotation, est.track.status, est.corrected, elapsed))
+    cols = list(zip(*rows)) or [()] * 8
     return RunRecord(
-        times=np.asarray(times),
-        est_positions=np.asarray(est_pos).reshape(n, 3),
-        truth_positions=np.asarray(truth_pos).reshape(n, 3),
-        est_rotations=np.asarray(est_rot).reshape(n, 3, 3),
-        truth_rotations=np.asarray(truth_rot).reshape(n, 3, 3),
-        status=status,
-        corrected=np.asarray(corrected_flags, dtype=bool),
-        k_init=k_init,
-        acquisition_time=acquisition_time,
-        reacquisitions=reacquisitions,
-        frame_compute_times=np.asarray(compute_times),
+        times=np.asarray(cols[0]),
+        est_positions=np.asarray(cols[1]).reshape(-1, 3),
+        truth_positions=np.asarray(cols[2]).reshape(-1, 3),
+        est_rotations=np.asarray(cols[3]).reshape(-1, 3, 3),
+        truth_rotations=np.asarray(cols[4]).reshape(-1, 3, 3),
+        status=list(cols[5]),
+        corrected=np.asarray(cols[6], dtype=bool),
+        k_init=est.k_init,
+        acquisition_time=lock_times[0] if lock_times else None,
+        reacquisitions=max(len(lock_times) - 1, 0),
+        frame_compute_times=np.asarray(cols[7]),
     )
 
 
@@ -550,29 +571,31 @@ class MetricsReport:
     rot_rmse_deg: np.ndarray | None    # deg, (rx, ry, rz) after the correction
     rot_whole_run: bool                # no correction fired; angles cover the run
     acquisition_time: float | None
-    mean_frame_time: float | None      # s, processing only
+    mean_frame_time: float | None      # s, estimator step only, no simulation
     n_frames: int
     n_locked: int
     k_init: int | None
     reacquisitions: int
 
-    def to_text(self) -> str:
+    def as_dict(self) -> dict:
+        """metrics.txt name -> value text, in file order; missing values read 'absent'."""
         def fmt(v):
             return "absent" if v is None else repr(float(v))
 
-        lines = []
-        for name, arr in (("pos_rmse", self.pos_rmse), ("rot_rmse_deg", self.rot_rmse_deg)):
-            for axis, label in enumerate(("x", "y", "z")):
-                val = None if arr is None else arr[axis]
-                lines.append(f"{name}_{label} = {fmt(val)}")
-        lines.append(f"rot_whole_run = {'true' if self.rot_whole_run else 'false'}")
-        lines.append(f"acquisition_time = {fmt(self.acquisition_time)}")
-        lines.append(f"mean_frame_time = {fmt(self.mean_frame_time)}")
-        lines.append(f"n_frames = {self.n_frames}")
-        lines.append(f"n_locked = {self.n_locked}")
-        lines.append(f"k_init = {'absent' if self.k_init is None else self.k_init}")
-        lines.append(f"reacquisitions = {self.reacquisitions}")
-        return "\n".join(lines) + "\n"
+        out = {f"{name}_{label}": fmt(None if arr is None else arr[axis])
+               for name, arr in (("pos_rmse", self.pos_rmse), ("rot_rmse_deg", self.rot_rmse_deg))
+               for axis, label in enumerate(("x", "y", "z"))}
+        return {**out,
+                "rot_whole_run": "true" if self.rot_whole_run else "false",
+                "acquisition_time": fmt(self.acquisition_time),
+                "mean_frame_time": fmt(self.mean_frame_time),
+                "n_frames": str(self.n_frames),
+                "n_locked": str(self.n_locked),
+                "k_init": "absent" if self.k_init is None else str(self.k_init),
+                "reacquisitions": str(self.reacquisitions)}
+
+    def to_text(self) -> str:
+        return "".join(f"{name} = {value}\n" for name, value in self.as_dict().items())
 
 
 def _wrap_degrees(diff):
@@ -581,7 +604,15 @@ def _wrap_degrees(diff):
 
 
 def _euler_deg(rotations) -> np.ndarray:
-    return np.array([np.rad2deg(euler_xyz(r)) for r in rotations]).reshape(-1, 3)
+    """``euler_xyz`` in degrees; at gimbal lock rz = 0 and rx takes the coupled angle."""
+    angles = []
+    for r in rotations:
+        try:
+            angles.append(euler_xyz(r))
+        except GimbalLockError:
+            angles.append((np.arctan2(-r[1, 2], r[1, 1]),
+                           np.arctan2(-r[2, 0], np.hypot(r[0, 0], r[1, 0])), 0.0))
+    return np.rad2deg(np.array(angles, dtype=float)).reshape(-1, 3)
 
 
 def compute_metrics(record: RunRecord) -> MetricsReport:

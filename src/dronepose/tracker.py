@@ -8,7 +8,7 @@ part of the contract so independent re-computation matches exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +44,9 @@ class MeanShiftParams:
 @dataclass
 class TrackState:
     position: np.ndarray                  # current estimate, vehicle frame, m
-    history: list = field(default_factory=list)   # (time, position) per update
     status: str = "locked"                # 'locked' | 'lost'
     misses: int = 0
-    # direction to aim the sensor at next; the single-axis mount consumes
-    # the azimuth, elevation is carried for telemetry
-    pointing_azimuth: float = 0.0
-    pointing_elevation: float = 0.0
+    pointing_azimuth: float = 0.0         # where the single-axis mount aims next
 
 
 def mean_shift_refine(points, start, params: MeanShiftParams,
@@ -79,10 +75,6 @@ def _azimuth(position) -> float:
     return float(np.arctan2(position[1], position[0]))
 
 
-def _elevation(position) -> float:
-    return float(np.arctan2(position[2], np.hypot(position[0], position[1])))
-
-
 def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
     """Relocalize against one vibration frame and repoint the motor.
 
@@ -90,7 +82,6 @@ def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
     ``miss_limit`` consecutive misses the state flips to lost (loss is
     a state, not an error).
     """
-    t_ref = 0.5 * (frame.t_start + frame.t_end)
     try:
         refined = mean_shift_refine(frame.points, state.position, params,
                                     iterations=params.track_iterations)
@@ -98,14 +89,7 @@ def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
         misses = state.misses + 1
         status = "lost" if misses >= params.miss_limit else state.status
         return replace(state, misses=misses, status=status)
-    return TrackState(
-        position=refined,
-        history=state.history + [(t_ref, refined)],
-        status="locked",
-        misses=0,
-        pointing_azimuth=_azimuth(refined),
-        pointing_elevation=_elevation(refined),
-    )
+    return TrackState(position=refined, pointing_azimuth=_azimuth(refined))
 
 
 def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
@@ -118,12 +102,4 @@ def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
     image = project(frame.points, proj)
     detection = detect(image, kernel, proj)
     position = mean_shift_refine(frame.points, detection.position, params)
-    t_ref = 0.5 * (frame.t_start + frame.t_end)
-    return TrackState(
-        position=position,
-        history=[(t_ref, position)],
-        status="locked",
-        misses=0,
-        pointing_azimuth=_azimuth(position),
-        pointing_elevation=_elevation(position),
-    )
+    return TrackState(position=position, pointing_azimuth=_azimuth(position))

@@ -199,10 +199,11 @@ def accumulate_motion(acc: MotionAccumulator, track_world, ego_direction,
                       vehicle_rotation, current_rotation):
     """Feed one frame; returns (observed_sum, self_sum) when the window agrees.
 
-    ``track_world`` is the per-frame world-position history of the
-    LiDAR track; ``ego_direction`` is the drone's own motion direction
-    over the same frame gap, in its camera frame (None when
-    unavailable). Absence of an emission is a value, not an error.
+    ``track_world`` holds the track's per-frame world positions, oldest
+    first; only the last ``frame_gap + 1`` are read, so a bounded deque
+    gives the same emissions as the full history. ``ego_direction`` is
+    the drone's own motion direction over the frame gap, in its camera
+    frame (None when unavailable). No emission is a value, not an error.
     """
     motion = acc.frame_motion(track_world)
     if motion is None or ego_direction is None:

@@ -68,6 +68,15 @@ class TestRunCommand:
         assert code == 1
         assert "drone.width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["bogus.key=1", "duration="])
+    def test_override_error_names_the_override(self, override, tmp_path, capsys):
+        code = main(["run", "--scenario", str(EXP1), "--out", str(tmp_path / "z"),
+                     "--overrides", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: override '{override}': ")
+        assert ".scenario:" not in err
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.scenario"),
                      "--out", str(tmp_path / "o")])
@@ -104,7 +113,8 @@ class TestSweepCommand:
         assert code == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
-        assert lines[0].startswith("param,value")
+        assert lines[0] == ("param,value,pos_rmse_x,pos_rmse_y,pos_rmse_z,rot_rmse_deg_x,"
+                            "rot_rmse_deg_y,rot_rmse_deg_z,n_frames,k_init")
         assert len(lines) == 3
         assert (tmp_path / "sweep" / "sweep.csv").read_text() == out
 
@@ -140,3 +150,27 @@ class TestConsoleEntry:
         assert f"error: {key}: cannot parse" in result.stderr
         assert "must be finite" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("seed", ["3", "4"])
+    def test_degenerate_vd_measurement_exits_zero(self, seed, tmp_path):
+        # 60 deg VD noise makes some matched directions near-collinear, so
+        # estimate_rotation rejects them; the run keeps the prior and goes on
+        result = subprocess.run(
+            [sys.executable, "-m", "dronepose.cli", "run", "--scenario", str(EXP1),
+             "--out", str(tmp_path / "vd"), "--seed", seed,
+             "--overrides", "observation.vd_noise_deg=60", "duration=6.0"],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_gimbal_lock_drone_exports(self, tmp_path):
+        out = tmp_path / "gl"
+        pitched = [f"drone.waypoint.{i}.rpy_deg=0 90 0" for i in range(4)]
+        result = subprocess.run(
+            [sys.executable, "-m", "dronepose.cli", "run", "--scenario", str(EXP1),
+             "--out", str(out), "--overrides", "duration=6.0", *pitched],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        for name in ("trajectory.csv", "metrics.txt", "scenario.txt"):
+            assert (out / name).is_file()

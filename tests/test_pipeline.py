@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dronepose.geom import rotation_angle
+from dronepose import pipeline
+from dronepose.geom import (
+    Pose,
+    euler_to_rotation,
+    rotation_about_y,
+    rotation_about_z,
+    rotation_angle,
+)
 from dronepose.pipeline import (
     RunRecord,
     ScenarioError,
@@ -13,7 +22,12 @@ from dronepose.pipeline import (
     record_to_csv,
     run,
 )
+from dronepose.scan_sim import ScanFrame
+from dronepose.tracker import TrackState
+from dronepose.vp_rot import MotionAccumulator, accumulate_motion
 from conftest import manhattan_scenario_text
+
+EXP1 = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_gentle_drift.scenario"
 
 MINIMAL = """
 schema_version = 1
@@ -87,9 +101,22 @@ class TestParsing:
     def test_load_with_overrides_and_seed(self, tmp_path):
         path = tmp_path / "s.scenario"
         path.write_text(manhattan_scenario_text(seed=5))
-        sc = load_scenario(path, overrides={"lidar.range_noise": "0.05"}, seed=77)
+        sc = load_scenario(path, overrides={"lidar.range_noise": "0.05",
+                                            "meanshift.radius": "0.8"}, seed=77)
         assert sc.seed == 77
         assert sc.lidar.range_noise == 0.05
+        assert sc.meanshift.radius == 0.8
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("bogus.key", "1", "unknown key 'bogus.key'"),
+        ("duration", "", "empty key or value"),
+        ("", "5", "empty key or value"),
+    ])
+    def test_override_errors_name_the_override(self, key, value, problem):
+        # an override has no line in the file: the error names the override
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(EXP1, overrides={key: value})
+        assert str(info.value) == f"override '{key}={value}': {problem}"
 
 
 def synthetic_record(n=10, bias=(0.0, 0.0, 0.0), k_init=None):
@@ -173,6 +200,25 @@ class TestCsvRoundTrip:
         b = compute_metrics(back)
         assert np.allclose(a.pos_rmse, b.pos_rmse, atol=1e-9)
         assert np.allclose(a.rot_rmse_deg, b.rot_rmse_deg, atol=1e-9)
+
+    def test_gimbal_lock_round_trip(self, tmp_path):
+        # pitch exactly +-90 deg: euler_xyz raises, export writes rz = 0
+        locked = [euler_to_rotation(0.0, np.pi / 2, 0.0),
+                  euler_to_rotation(0.4, np.pi / 2, -1.1),
+                  euler_to_rotation(-2.0, -np.pi / 2, 0.7),
+                  rotation_about_z(0.3) @ rotation_about_y(-np.pi / 2)]
+        rec = synthetic_record(n=len(locked))
+        rec.est_rotations = np.array(locked)
+        rec.truth_rotations = np.array(locked[::-1])
+        path = tmp_path / "trajectory.csv"
+        path.write_text(record_to_csv(rec))
+        back = record_from_csv(path)
+        assert np.max(np.abs(back.est_rotations - rec.est_rotations)) < 1e-9
+        assert np.max(np.abs(back.truth_rotations - rec.truth_rotations)) < 1e-9
+        for row in path.read_text().splitlines()[1:]:
+            cells = row.split(",")
+            assert float(cells[9]) == 0.0 and float(cells[12]) == 0.0
+        assert np.all(np.isfinite(compute_metrics(back).rot_rmse_deg))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -295,3 +341,117 @@ class TestBundledScenarios:
         assert record.acquisition_time is not None
         assert len(record.times) > 20
         assert all(s == "locked" for s in record.status)
+
+
+# -- the estimator step on hand-built frames: no Scene, no ray casting --------
+
+AXES = np.eye(3)
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+# body diagonals: every one is 54.7 deg from every axis, past the 45 deg limit
+DIAGONALS = np.column_stack([(1, 1, 1), (1, -1, 1), (-1, 1, 1)]) / np.sqrt(3.0)
+# three directions within 5 deg of x: matched, but no basis can be built from them
+COLLINEAR = np.column_stack([(1, 0, 0), (np.cos(0.05), np.sin(0.05), 0),
+                             (np.cos(0.05), 0, np.sin(0.05))])
+
+
+def cluster_inputs(k, center, drone_vds=AXES, ego=None, spread=0.05):
+    """Frame k: a point cluster at ``center`` and the given drone VDs."""
+    t0 = 0.12 * k
+    rng = np.random.default_rng(k)
+    pts = np.asarray(center, dtype=float) + rng.normal(scale=spread, size=(60, 3))
+    scan = ScanFrame(pts, np.linspace(t0, t0 + 0.12, 60), t0, t0 + 0.12)
+    return pipeline._VibrationInputs(scan, t0 + 0.06, IDENTITY, IDENTITY, AXES, drone_vds, ego,
+                                     truth_position=np.asarray(center, dtype=float),
+                                     truth_rotation=np.eye(3))
+
+
+def estimator(extra="", at=(2.0, 1.0, 10.0)):
+    est = pipeline._Estimator(parse_scenario(MINIMAL + extra))
+    est.track = TrackState(position=np.asarray(at, dtype=float))
+    return est
+
+
+class TestEstimatorStep:
+    @pytest.mark.parametrize("drone_vds", [DIAGONALS, COLLINEAR], ids=["ambiguous", "degenerate"])
+    def test_unusable_vd_measurement_holds_the_rotation(self, drone_vds):
+        est = estimator("rotation.initial_rpy_deg = 0 0 30\n")
+        before = est.rot
+        est.step(cluster_inputs(0, (2.0, 1.0, 10.0), drone_vds=drone_vds))
+        assert est.rot is before
+        assert est.track.status == "locked"
+        # a usable measurement on the next frame moves it again
+        est.step(cluster_inputs(1, (2.0, 1.0, 10.0)))
+        assert est.rot.last_time == pytest.approx(0.18)
+        assert rotation_angle(est.rot.rotation) < rotation_angle(before.rotation)
+
+    @pytest.mark.parametrize("drone_vds", [AXES, AXES[:, [2, 0, 1]] * [1, -1, -1]],
+                             ids=["exact", "scrambled"])
+    def test_exact_or_scrambled_vds_converge(self, drone_vds):
+        est = estimator("rotation.initial_rpy_deg = 0 0 1\n")
+        for k in range(3):
+            est.step(cluster_inputs(k, (2.0, 1.0, 10.0), drone_vds=drone_vds))
+        assert rotation_angle(est.rot.rotation) < 1e-12
+
+    def test_filter_time_order_error_is_not_swallowed(self):
+        est = estimator()
+        est.rot.last_time = 5.0
+        with pytest.raises(ValueError, match="strictly increasing"):
+            est.step(cluster_inputs(0, (2.0, 1.0, 10.0)))
+
+    def test_miss_limit_misses_make_the_loop_ask_for_a_sweep(self, monkeypatch):
+        center = np.array([2.0, 1.0, 10.0])
+        calls = []
+
+        class Source:
+            def __init__(self, scenario):
+                self.t = 0.0
+
+            def sweep(self):
+                calls.append("sweep")
+                if calls.count("sweep") > 2:
+                    return None
+                self.t += 1.0
+                return cluster_inputs(0, center).scan
+
+            def vibration(self, azimuth, want_ego):
+                calls.append("frame")
+                return cluster_inputs(len(calls), center + 30.0)   # nothing near the track
+
+        monkeypatch.setattr(pipeline, "_SimSource", Source)
+        monkeypatch.setattr(pipeline, "acquire", lambda scan, *params: TrackState(center))
+        record = run(parse_scenario(MINIMAL))
+        limit = 5
+        assert calls == (["sweep"] + ["frame"] * limit) * 2 + ["sweep"]
+        assert record.status == (["locked"] * (limit - 1) + ["lost"]) * 2
+        assert record.acquisition_time == 1.0
+        assert record.reacquisitions == 1
+        assert len(record.frame_compute_times) == 2 * limit
+
+    def test_bounded_history_gives_the_full_list_emissions(self, monkeypatch):
+        calls = []
+
+        def recording(acc, track_world, ego, vehicle_rotation, current_rotation):
+            out = accumulate_motion(acc, track_world, ego, vehicle_rotation, current_rotation)
+            calls.append((track_world[-1].copy(), ego, current_rotation, out))
+            return out
+
+        monkeypatch.setattr(pipeline, "accumulate_motion", recording)
+        est = estimator("rotation.initial_rpy_deg = 0 0 90\n")
+        for k in range(30):
+            # 1 m/s along +y in the world: 1.68 m per 14-frame gap
+            center = (2.0, 1.0 + 0.12 * k, 10.0)
+            ego = None if k == 17 else np.array([0.0, 1.0, 0.0])
+            est.step(cluster_inputs(k, center, ego=ego))
+            assert len(est.world) <= est.motion.frame_gap + 1
+        assert est.corrected and est.k_init == len(calls) - 1
+
+        reference = MotionAccumulator(window=7, frame_gap=14)
+        full = []
+        for position, ego, current, out in calls:
+            full.append(position)
+            expected = accumulate_motion(reference, full, ego, np.eye(3), current)
+            if out is None:
+                assert expected is None
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(out, expected))
+        assert calls[-1][3] is not None

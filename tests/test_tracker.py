@@ -130,13 +130,6 @@ class TestTrackStep:
         assert state.status == "lost"
         assert state.misses == params.miss_limit
 
-    def test_history_times_strictly_increase(self, params):
-        state = TrackState(position=np.array([0.0, 0.0, 10.0]))
-        for k in range(10):
-            state = track_step(state, cluster_frame((0, 0, 10), 0.12 * k, seed=k), params)
-        times = [t for t, _ in state.history]
-        assert all(a < b for a, b in zip(times, times[1:]))
-
     def test_pointing_azimuth_follows_target(self, params):
         state = TrackState(position=np.array([1.0, 0.0, 10.0]))
         state = track_step(state, cluster_frame((0.0, 5.0, 10.0), 0.0, spread=0.4), params)
