@@ -16,6 +16,8 @@ import numpy as np
 
 from .geom import _vec
 
+_PROJECT_BLOCK = 16384     # points per block when projecting a sweep
+
 
 @dataclass
 class ProjectionParams:
@@ -77,15 +79,18 @@ def project(points, params: ProjectionParams) -> DepthImage:
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = params.resolution
+    f = params.focal
     depth = np.full((n, n), np.inf)
-    if len(pts):
-        z = pts @ params.w_axis
+    # Block-wise, so a full sweep's temporaries stay small and reused; the
+    # per-pixel minimum does not depend on the order points arrive in.
+    for start in range(0, len(pts), _PROJECT_BLOCK):
+        blk = pts[start:start + _PROJECT_BLOCK]
+        z = blk @ params.w_axis
         keep = z > 0.0
-        pts = pts[keep]
+        blk = blk[keep]
         z = z[keep]
-        f = params.focal
-        u = np.floor(f * (pts @ params.u_axis) / z + n / 2.0).astype(int)
-        v = np.floor(f * (pts @ params.v_axis) / z + n / 2.0).astype(int)
+        u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0).astype(int)
+        v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0).astype(int)
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
         np.minimum.at(depth, (v[inside], u[inside]), z[inside])
     depth[~np.isfinite(depth)] = 0.0

@@ -19,6 +19,8 @@ import numpy as np
 
 from .depth_image import DepthImage, ProjectionParams, unproject
 
+_TILE = 8      # px, side of the tiles whose depth range bounds a window's spread
+
 
 class NoCandidatesError(ValueError):
     """Raised when the depth image contains no non-zero pixel."""
@@ -55,8 +57,8 @@ def inner_size(depth: float, params: KernelParams, proj: ProjectionParams) -> in
     """Side of the inner square, pixels: 2*floor((s*f/Z)/2) + 1, clamped odd."""
     if depth <= 0.0:
         raise ValueError("depth must be positive")
-    raw = 2 * int(np.floor(params.drone_width * proj.focal / depth / 2.0)) + 1
-    return min(max(raw, 1), params.max_inner_px)
+    raw = 2.0 * np.floor(params.drone_width * proj.focal / depth / 2.0) + 1.0
+    return int(min(max(raw, 1), params.max_inner_px))    # clamp first: raw may be inf
 
 
 def _window(padded: np.ndarray, v: int, u: int, half: int, pad: int) -> np.ndarray:
@@ -119,40 +121,109 @@ def outer_dissimilarity(image: DepthImage, center_px, params: KernelParams,
     return _outer_term(values, d_c, params.depth_epsilon)
 
 
+def _inner_sizes(depths: np.ndarray, params: KernelParams, proj: ProjectionParams) -> np.ndarray:
+    """``inner_size`` of every depth at once, with the same float arithmetic."""
+    raw = 2.0 * np.floor(params.drone_width * proj.focal / depths / 2.0) + 1.0
+    return np.clip(raw, 1, params.max_inner_px).astype(np.intp)
+
+
+def _neighbourhood_stack(grid: np.ndarray, reach: int, op, fill: float) -> np.ndarray:
+    """``[r]`` is ``op`` over the (2r+1)^2 cells around each cell, r = 0..reach."""
+    out = [grid]
+    for _ in range(reach):
+        g = np.pad(out[-1], 1, constant_values=fill)
+        g = op(op(g[:-2], g[1:-1]), g[2:])
+        out.append(op(op(g[:, :-2], g[:, 1:-1]), g[:, 2:]))
+    return np.stack(out)
+
+
+def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.ndarray,
+                  sizes: np.ndarray, params: KernelParams) -> np.ndarray:
+    """A lower bound on every candidate's ``e_inner + e_outer``, vectorized.
+
+    ``vs``, ``us`` index the candidates in ``crop``; every cell outside
+    ``crop`` must be empty. Inner term: each empty cell costs exactly the
+    center depth. Outer term: each non-empty band cell costs at least
+    1/max(epsilon, spread), where the spread bounds |depth - center depth|
+    over the window, read from the depth range of the tiles around it.
+    Counts come from one integral image. The final (1 - 1e-9) factor covers
+    the rounding of the exact sums, whose terms are all >= 0.
+    """
+    h, w = crop.shape
+    occupied = np.zeros((h + 1, w + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(crop != 0.0, axis=0, dtype=np.int32), axis=1, out=occupied[1:, 1:])
+
+    def count(half):
+        r0, r1 = np.clip(vs - half, 0, h), np.clip(vs + half + 1, 0, h)
+        c0, c1 = np.clip(us - half, 0, w), np.clip(us + half + 1, 0, w)
+        return occupied[r1, c1] - occupied[r0, c1] - occupied[r1, c0] + occupied[r0, c0]
+
+    half_in = (sizes - 1) // 2
+    half_out = half_in + params.outer_band_px
+    n_inner = count(half_in)
+    n_band = count(half_out) - n_inner
+
+    rows, cols = -(-h // _TILE), -(-w // _TILE)
+    tiles = np.pad(crop, ((0, rows * _TILE - h), (0, cols * _TILE - w)))
+    tiles = tiles.reshape(rows, _TILE, cols, _TILE)
+    reach = -(-half_out // _TILE)    # tiles around the candidate's tile that hold its window
+    hi = _neighbourhood_stack(tiles.max(axis=(1, 3)), int(reach.max()), np.maximum, 0.0)
+    lo = _neighbourhood_stack(np.where(tiles == 0.0, np.inf, tiles).min(axis=(1, 3)),
+                              int(reach.max()), np.minimum, np.inf)
+    tv, tu = vs // _TILE, us // _TILE
+    spread = np.maximum(hi[reach, tv, tu] - depths, depths - lo[reach, tv, tu])
+    bound = n_band * (1.0 / np.maximum(params.depth_epsilon, spread))
+    if not params.inner_skip_empty:
+        bound += depths * (sizes * sizes - n_inner)
+    return bound * (1.0 - 1e-9)
+
+
 def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> Detection:
-    """Score every non-zero pixel and return the global dissimilarity argmin.
+    """Return the global dissimilarity argmin over every non-zero pixel.
 
     Ties break toward the smaller inner term, then row-major pixel order.
+    Candidates are scored exactly in ascending order of a lower bound on
+    their dissimilarity (``_lower_bounds``); the search stops at the first
+    bound above the best exact score, since no later candidate can win.
     """
     data = image.data
     vs, us = np.nonzero(data)
     if len(vs) == 0:
         raise NoCandidatesError("no candidates: depth image is empty")
     depths = data[vs, us]
-    sizes = np.array([inner_size(d, params, proj) for d in depths])
+    sizes = _inner_sizes(depths, params, proj)
 
+    # Every window lies within the candidates' bounding box grown by pad;
+    # all cells outside that box are empty, so the crop changes no value.
     band = params.outer_band_px
     pad = (int(sizes.max()) - 1) // 2 + band
-    padded = np.pad(data, pad)
-    masks = {int(k): _band_mask(int(k), band) for k in np.unique(sizes)}
+    v0, u0 = int(vs.min()), int(us.min())
+    crop = data[v0: int(vs.max()) + 1, u0: int(us.max()) + 1]
+    cv, cu = vs - v0, us - u0     # candidates in crop coordinates
+    bounds = _lower_bounds(crop, cv, cu, depths, sizes, params)
+    padded = np.pad(crop, pad)
 
-    n_cand = len(vs)
-    e_inner = np.empty(n_cand)
-    e_total = np.empty(n_cand)
-    for i in range(n_cand):
-        v, u, d_c, k = int(vs[i]), int(us[i]), float(depths[i]), int(sizes[i])
+    masks = {}
+    best = None     # (e_total, e_inner, row-major candidate index)
+    for i in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[i] > best[0]:
+            break
+        v, u, d_c, k = int(cv[i]), int(cu[i]), float(depths[i]), int(sizes[i])
+        if k not in masks:
+            masks[k] = _band_mask(k, band)
         half_in = (k - 1) // 2
         ei = _inner_term(_window(padded, v, u, half_in, pad), d_c, params.inner_skip_empty)
         outer = _window(padded, v, u, half_in + band, pad)
         eo = _outer_term(outer[masks[k]], d_c, params.depth_epsilon)
-        e_inner[i] = ei
-        e_total[i] = ei + eo
+        score = (ei + eo, ei, int(i))
+        if best is None or score < best:
+            best = score
 
-    best = np.lexsort((np.arange(n_cand), e_inner, e_total))[0]
-    u, v, d_c = int(us[best]), int(vs[best]), float(depths[best])
+    e_total, _, i = best
+    u, v, d_c = int(us[i]), int(vs[i]), float(depths[i])
     return Detection(
         pixel=(u, v),
         depth=d_c,
-        dissimilarity=float(e_total[best]),
+        dissimilarity=e_total,
         position=unproject((u, v), d_c, proj),
     )

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dronepose.geom import euler_to_rotation
+from dronepose.pipeline import _SimSource, load_scenario
 from dronepose.scan_sim import TrajectorySpec
 
 
@@ -18,6 +21,15 @@ def line_trajectory(p0, p1, t0, t1, rpy_deg=(0.0, 0.0, 0.0)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def acquisition_sweep():
+    """(points, scenario) of exp1's first full sweep: about 440k returns,
+    ground points behind the image plane and walls outside the field of view."""
+    scenario = load_scenario(Path(__file__).parent.parent / "scenarios"
+                             / "exp1_gentle_drift.scenario")
+    return _SimSource(scenario).sweep().points, scenario
 
 
 def manhattan_scenario_text(

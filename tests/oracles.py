@@ -34,7 +34,10 @@ def oracle_scores(data, v, u, params, focal):
     k = oracle_inner_size(d_c, params.drone_width, focal, params.max_inner_px)
     half = (k - 1) // 2
     inner_vals = _window_values(data, v, u, half)
-    e_inner = float(np.sum(np.abs(inner_vals - d_c)))
+    inner_diffs = np.abs(inner_vals - d_c)
+    if params.inner_skip_empty:     # lenient mode: an empty inner cell costs 0
+        inner_diffs = np.where(inner_vals == 0.0, 0.0, inner_diffs)
+    e_inner = float(np.sum(inner_diffs))
 
     band = params.outer_band_px
     side = k + 2 * band

@@ -65,6 +65,26 @@ class TestProject:
         img = project(pts, params)
         assert np.count_nonzero(img.data) <= len(pts)
 
+    @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0)])
+    def test_block_wise_matches_whole_array(self, acquisition_sweep, view):
+        # a real sweep spans many projection blocks; it holds points behind
+        # the image plane and points outside the field of view
+        points, scenario = acquisition_sweep
+        p = ProjectionParams(resolution=scenario.projection.resolution,
+                             half_fov=scenario.projection.half_fov, view_direction=view)
+        n, f = p.resolution, p.focal
+        z = points @ p.w_axis
+        keep = z > 0.0
+        pts, z = points[keep], z[keep]
+        u = np.floor(f * (pts @ p.u_axis) / z + n / 2.0).astype(int)
+        v = np.floor(f * (pts @ p.v_axis) / z + n / 2.0).astype(int)
+        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        assert len(points) > 10 * 16384 and not keep.all() and not inside.all()
+        whole = np.full((n, n), np.inf)
+        np.minimum.at(whole, (v[inside], u[inside]), z[inside])
+        whole[~np.isfinite(whole)] = 0.0
+        assert np.array_equal(project(points, p).data, whole)
+
 
 class TestUnproject:
     def test_center_pixel_depth(self, params):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dronepose.depth_image import DepthImage, ProjectionParams
+from dronepose.depth_image import DepthImage, ProjectionParams, project
 from dronepose.detector import (
     KernelParams,
     NoCandidatesError,
+    _inner_sizes,
+    _lower_bounds,
     detect,
     inner_dissimilarity,
     inner_size,
@@ -56,6 +58,25 @@ class TestInnerSize:
     def test_cap(self, proj512):
         params = KernelParams(drone_width=0.5, max_inner_px=5)
         assert inner_size(0.01, params, proj512) == 5
+        with np.errstate(over="ignore"):     # w*f/d overflows to inf
+            assert inner_size(1e-310, params, proj512) == 5
+            assert _inner_sizes(np.array([1e-310]), params, proj512).tolist() == [5]
+
+    @pytest.mark.parametrize("max_inner", [5, 101])
+    def test_vectorized_matches_scalar(self, proj512, max_inner):
+        # depths where w*f/d/2 rounds to an exact integer, the depths a few
+        # ulps either side of them, and depths far inside the cap
+        params = KernelParams(drone_width=0.5, max_inner_px=max_inner)
+        wf = params.drone_width * proj512.focal
+        exact = wf / (2.0 * np.arange(1.0, 80.0))
+        depths = np.concatenate([exact + k * np.spacing(exact) for k in range(-3, 4)]
+                                + [np.geomspace(1e-3, 1e3, 200)])
+        hits = wf / depths / 2.0
+        assert np.count_nonzero(hits == np.floor(hits)) > 50
+        assert np.count_nonzero(hits != np.floor(hits)) > 300
+        expected = [inner_size(float(d), params, proj512) for d in depths]
+        assert _inner_sizes(depths, params, proj512).tolist() == expected
+        assert max(expected) == max_inner
 
 
 class TestInnerDissimilarity:
@@ -189,6 +210,25 @@ class TestDetect:
             assert det.pixel == oracle_pixel
             assert det.dissimilarity == oracle_e
 
+    def test_matches_oracle_in_lenient_mode(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(32, 49)) * 2
+            data = random_image(rng, n, int(rng.integers(20, 350)), high=60.0)
+            if rng.integers(0, 3) == 0:
+                cu, cv = rng.integers(8, n - 8, 2)
+                data[cv - 2: cv + 3, cu - 2: cu + 3] = rng.uniform(2.0, 60.0)
+            img = DepthImage(data)
+            proj = ProjectionParams(resolution=n,
+                                    half_fov=np.deg2rad(float(rng.choice([30, 45, 60]))))
+            params = KernelParams(drone_width=float(rng.choice([0.25, 0.5, 1.0])),
+                                  outer_band_px=int(rng.integers(2, 9)),
+                                  depth_epsilon=float(rng.choice([0.05, 0.1, 0.5])),
+                                  inner_skip_empty=True)
+            det = detect(img, params, proj)
+            oracle_pixel, oracle_e = oracle_detect(img, params, proj)
+            assert det.pixel == oracle_pixel
+            assert det.dissimilarity == oracle_e
+
     def test_scores_are_nonnegative(self, proj64, kernel64, rng):
         data = np.zeros((64, 64))
         us = rng.integers(0, 64, 50)
@@ -199,3 +239,118 @@ class TestDetect:
             ei = inner_dissimilarity(img, (int(u), int(v)), kernel64, proj64)
             eo = outer_dissimilarity(img, (int(u), int(v)), kernel64, proj64)
             assert ei >= 0.0 and eo >= 0.0
+
+
+def exhaustive_argmin(image, params, proj):
+    """(pixel, e) of the argmin over every candidate, from the public scores."""
+    best = None
+    for v, u in zip(*np.nonzero(image.data)):
+        ei = inner_dissimilarity(image, (int(u), int(v)), params, proj)
+        e = ei + outer_dissimilarity(image, (int(u), int(v)), params, proj)
+        if best is None or (e, ei, v, u) < best:
+            best = (e, ei, v, u)
+    e, _, v, u = best
+    return (int(u), int(v)), e
+
+
+def detector_bounds(image, params, proj):
+    """(vs, us, bounds) as ``detect`` computes them, on the candidates' crop."""
+    data = image.data
+    vs, us = np.nonzero(data)
+    depths = data[vs, us]
+    crop = data[vs.min(): vs.max() + 1, us.min(): us.max() + 1]
+    bounds = _lower_bounds(crop, vs - vs.min(), us - us.min(), depths,
+                           _inner_sizes(depths, params, proj), params)
+    return vs, us, bounds
+
+
+def random_image(rng, n, n_pts, low=2.0, high=40.0):
+    data = np.zeros((n, n))
+    data[rng.integers(0, n, n_pts), rng.integers(0, n, n_pts)] = rng.uniform(low, high, n_pts)
+    return data
+
+
+class TestLowerBounds:
+    def assert_below_exact(self, image, params, proj):
+        vs, us, bounds = detector_bounds(image, params, proj)
+        assert np.all(bounds >= 0.0)
+        for v, u, b in zip(vs, us, bounds):
+            exact = (inner_dissimilarity(image, (int(u), int(v)), params, proj)
+                     + outer_dissimilarity(image, (int(u), int(v)), params, proj))
+            assert b <= exact, (u, v)
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_random_images(self, proj64, rng, lenient):
+        for _ in range(12):
+            data = random_image(rng, 64, int(rng.integers(5, 400)), low=0.5)
+            if rng.integers(0, 2):
+                cu, cv = rng.integers(6, 58, 2)
+                data[cv - 4: cv + 5, cu - 4: cu + 5] = rng.uniform(2.0, 40.0)
+            params = KernelParams(drone_width=float(rng.choice([0.5, 1.0, 3.0])),
+                                  outer_band_px=int(rng.integers(1, 21)),
+                                  depth_epsilon=float(rng.choice([0.05, 0.5, 50.0])),
+                                  max_inner_px=int(rng.choice([3, 101])),
+                                  inner_skip_empty=lenient)
+            self.assert_below_exact(DepthImage(data), params, proj64)
+
+    def test_real_sweep(self, acquisition_sweep):
+        # a coarser projection keeps the exhaustive scoring quick; a wider
+        # drone gives inner squares of several sizes
+        points, scenario = acquisition_sweep
+        proj = ProjectionParams(resolution=128, half_fov=scenario.projection.half_fov)
+        image = project(points, proj)
+        assert np.count_nonzero(image.data) > 500
+        params = KernelParams(drone_width=2.0, outer_band_px=5)
+        self.assert_below_exact(image, params, proj)
+
+
+def mirrored(rng, n=64):
+    # whole-metre depths keep the sums exact, so each pixel ties its mirror twin
+    data = np.rint(random_image(rng, n, 300))
+    data[:, n // 2:] = data[:, : n // 2][:, ::-1]
+    return data
+
+
+def corners(rng, n=64):
+    data = random_image(rng, n, 40)
+    for sv, su in ((slice(0, 3), slice(0, 3)), (slice(0, 2), slice(n - 2, n)),
+                   (slice(n - 3, n), slice(0, 1)), (slice(n - 1, n), slice(n - 1, n))):
+        data[sv, su] = rng.uniform(2.0, 40.0)
+    return data
+
+
+def single(rng, n=64):
+    data = np.zeros((n, n))
+    data[int(rng.integers(0, n)), int(rng.integers(0, n))] = rng.uniform(2.0, 40.0)
+    return data
+
+
+class TestDetectPrune:
+    """``detect`` against the exhaustive argmin on inputs that stress the prune."""
+
+    CASES = {
+        # the winner ties its mirror twin, so the row-major tie-break decides
+        "mirror_ties": (mirrored, dict(drone_width=3.0, outer_band_px=3)),
+        # every band cell costs 1/epsilon, so the outer bound is tight
+        "band_1_wide_epsilon": (lambda rng: random_image(rng, 64, 200),
+                                dict(drone_width=1.0, outer_band_px=1, depth_epsilon=100.0)),
+        "corners": (corners, dict(drone_width=1.0, outer_band_px=4)),
+        "single": (single, dict(drone_width=1.0, outer_band_px=20)),
+        # near depths give inner squares far above the cap
+        "clamped": (lambda rng: random_image(rng, 64, 120, low=0.2, high=2.0),
+                    dict(drone_width=1.0, outer_band_px=2, max_inner_px=5)),
+    }
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_exhaustive(self, proj64, case, lenient):
+        make, kwargs = self.CASES[case]
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        params = KernelParams(inner_skip_empty=lenient, **kwargs)
+        for _ in range(4):
+            image = DepthImage(make(rng))
+            det = detect(image, params, proj64)
+            pixel, e = exhaustive_argmin(image, params, proj64)
+            assert det.pixel == pixel
+            assert det.dissimilarity == e
+            assert det.depth == image.data[pixel[1], pixel[0]]
