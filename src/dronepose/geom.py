@@ -169,11 +169,10 @@ def is_rotation(rotation, tol: float = _ROT_TOL) -> bool:
 
 @dataclass
 class Pose:
-    """Rigid transform mapping local coordinates into the tagged frame."""
+    """Rigid transform mapping local coordinates into the parent frame."""
 
     rotation: np.ndarray
     translation: np.ndarray
-    frame: str = "world"
 
     def __post_init__(self):
         self.rotation = _vec(self.rotation)
@@ -184,11 +183,11 @@ class Pose:
             raise ValueError("pose translation must be a finite 3-vector")
 
     def transform(self, points) -> np.ndarray:
-        """Local -> tagged frame, for one point or an (n, 3) batch."""
+        """Local -> parent frame, for one point or an (n, 3) batch."""
         p = _vec(points)
         return p @ self.rotation.T + self.translation
 
     def inverse_transform(self, points) -> np.ndarray:
-        """Tagged frame -> local."""
+        """Parent frame -> local."""
         p = _vec(points)
         return (p - self.translation) @ self.rotation

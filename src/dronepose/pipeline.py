@@ -41,7 +41,6 @@ from .scan_sim import (
     DroneModel,
     IndirectObsModel,
     LidarModel,
-    MotorState,
     ScanFrame,
     Scene,
     ScenePrimitive,
@@ -273,8 +272,6 @@ def _build_scenario(raw: dict) -> Scenario:
         raise ScenarioError("duration: must be > 0")
     if values["seed"] < 0:
         raise ScenarioError("seed: must be a non-negative integer")
-    if values["drone.width"] <= 0.0:
-        raise ScenarioError("drone.width: must be > 0")
 
     scene_entries = _indexed_group(raw, "scene", _SCENE_FIELDS, resolved)
     drone_wp = _indexed_group(raw, "drone.waypoint", _WAYPOINT_FIELDS, resolved)
@@ -436,9 +433,8 @@ class _SimSource:
         sweep_duration = np.pi / self.sweep_omega
         if self.t + sweep_duration > self.sc.duration + 1e-9:
             return None
-        motor = MotorState(mode="sweep", angle=0.0, angular_velocity=self.sweep_omega)
-        scan = simulate_full_scan(self.scene, self.sc.trajectories, self.sc.lidar, motor,
-                                  self.t, drone=self.sc.drone, rng=self.rng)
+        scan = simulate_full_scan(self.scene, self.sc.trajectories, self.sc.lidar,
+                                  self.sweep_omega, self.t, drone=self.sc.drone, rng=self.rng)
         self.t += sweep_duration
         return scan
 
@@ -448,9 +444,8 @@ class _SimSource:
         if self.t + period > sc.duration + 1e-9:
             return None
         t_start, t_mid = self.t, self.t + period / 2.0
-        motor = MotorState(mode="vibrate", vibrate_center=azimuth,
-                           vibrate_amplitude=sc.vibration_amplitude, vibrate_period=period)
-        scan = simulate_vibration_frame(self.scene, traj, sc.lidar, motor, t_start,
+        scan = simulate_vibration_frame(self.scene, traj, sc.lidar, azimuth,
+                                        sc.vibration_amplitude, period, t_start,
                                         drone=sc.drone, rng=self.rng)
         self.t += period
         self.mid_times.append(t_mid)
@@ -678,15 +673,21 @@ def record_from_csv(path) -> RunRecord:
     per-frame compute times come back absent.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ScenarioError(f"{path}: not a trajectory table (bad header)")
     times, est_p, truth_p, est_r, truth_r, status, flags = [], [], [], [], [], [], []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 15:
-            raise ScenarioError(f"{path}: malformed row {line!r}")
-        nums = [float(c) for c in cells[:13]]
+            raise ScenarioError(f"{path}:{lineno}: malformed row {line!r}")
+        try:
+            nums = [float(c) for c in cells[:13]]
+        except ValueError as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+        if cells[13] not in ("locked", "lost") or cells[14] not in ("0", "1"):
+            raise ScenarioError(f"{path}:{lineno}: expected status locked/lost and flag 0/1, "
+                                f"not {cells[13]!r}, {cells[14]!r}")
         times.append(nums[0])
         est_p.append(nums[1:4])
         truth_p.append(nums[4:7])

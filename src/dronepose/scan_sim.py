@@ -8,9 +8,9 @@ points ``(cos b sin a, sin b, cos b cos a)``, i.e. the fan plane holds
 the motor's azimuth and passes through the zenith. Rotating the motor
 by 180 degrees therefore covers the full sphere.
 
-Poses are evaluated at each ray's emission timestamp (motion blur),
-and all returns of one frame are expressed in the vehicle camera frame
-at the frame's start time.
+Poses are evaluated at each firing's emission time (motion blur), and
+all returns of one frame are expressed in the vehicle camera frame at
+the frame's start time; a frame carries no per-point times.
 
 Indirect observations (vanishing directions from the two cameras, the
 drone's own motion direction) are synthesized here from ground truth
@@ -101,45 +101,19 @@ class LidarModel:
 
 
 @dataclass
-class MotorState:
-    """Single-axis mount rotating the sensor about the vehicle's Z axis."""
-
-    mode: str = "sweep"                      # 'sweep' | 'vibrate'
-    angle: float = 0.0                       # rad, sweep start angle
-    angular_velocity: float = 11.4 * 2.0 * np.pi / 60.0   # rad/s in sweep mode
-    vibrate_center: float = 0.0              # rad
-    vibrate_amplitude: float = np.deg2rad(5.0)
-    vibrate_period: float = 0.12             # s, one frame per period
-
-    def __post_init__(self):
-        if self.mode not in ("sweep", "vibrate"):
-            raise ValueError(f"unknown motor mode {self.mode!r}")
-        if self.mode == "vibrate" and self.vibrate_amplitude <= 0.0:
-            raise ValueError("vibrate amplitude must be > 0")
-        if self.vibrate_period <= 0.0:
-            raise ValueError("vibrate period must be > 0")
-        if self.mode == "sweep" and self.angular_velocity <= 0.0:
-            raise ValueError("sweep angular velocity must be > 0")
-
-
-@dataclass
 class ScanFrame:
-    """Returns of one sweep or vibration period, vehicle frame at t_start."""
+    """Returns of one sweep or vibration period, vehicle frame at t_start.
+
+    Each return was cast from the poses at its firing's emission time;
+    the frame keeps only its interval, not per-point times.
+    """
 
     points: np.ndarray     # (n, 3) m
-    times: np.ndarray      # (n,) emission timestamps, s
     t_start: float
     t_end: float
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.times = np.asarray(self.times, dtype=float).reshape(-1)
-        if len(self.points) != len(self.times):
-            raise ValueError("points and times must have equal length")
-        if len(self.times) and (
-            self.times.min() < self.t_start - 1e-9 or self.times.max() > self.t_end + 1e-9
-        ):
-            raise ValueError("timestamps outside the frame interval")
 
     def __len__(self):
         return len(self.points)
@@ -196,8 +170,8 @@ class TrajectorySpec:
     def rotation_at(self, t: float) -> np.ndarray:
         return self.rotations_at([t])[0]
 
-    def pose_at(self, t: float, frame: str = "world") -> Pose:
-        return Pose(self.rotation_at(t), self.position_at(t), frame=frame)
+    def pose_at(self, t: float) -> Pose:
+        return Pose(self.rotation_at(t), self.position_at(t))
 
 
 @dataclass
@@ -210,22 +184,11 @@ class Trajectories:
 class IndirectObsModel:
     """Synthetic vanishing-direction and ego-motion observation noise."""
 
-    world_axes: np.ndarray = field(default_factory=lambda: np.eye(3))
     vd_noise: float = 0.0      # rad, per vanishing direction
     ego_noise: float = 0.0     # rad, on the drone's motion direction
     scramble: bool = True      # unlabeled detections: permute and flip signs
 
     def __post_init__(self):
-        axes = _vec(self.world_axes).reshape(3, 3)
-        norms = np.linalg.norm(axes, axis=0)
-        if np.any(norms < 1e-12):
-            raise ValueError("world axes must be non-zero")
-        axes = axes / norms
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if np.linalg.norm(np.cross(axes[:, i], axes[:, j])) < np.sin(np.deg2rad(10.0)):
-                    raise ValueError("world axes must be pairwise non-collinear")
-        self.world_axes = axes
         if self.vd_noise < 0.0 or self.ego_noise < 0.0:
             raise ValueError("noise sigmas must be >= 0")
 
@@ -364,7 +327,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     align_pos = trajectories.vehicle.position_at(t0)
     drone_half = drone.width / 2.0 if drone is not None else 0.0
 
-    all_points, all_times = [], []
+    all_points = []
     for start in range(0, n_firings, _CHUNK_FIRINGS):
         idx = np.arange(start, min(start + _CHUNK_FIRINGS, n_firings))
         times = t0 + idx * lidar.firing_interval
@@ -384,7 +347,6 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         veh_rot = trajectories.vehicle.rotations_at(times)
         dirs_world = np.einsum("fij,fbj->fbi", veh_rot, dirs).reshape(-1, 3)
         origins = np.repeat(trajectories.vehicle.positions_at(times), n_beams, axis=0)
-        ray_times = np.repeat(times, n_beams)
         drone_centers = (np.repeat(trajectories.drone.positions_at(times), n_beams, axis=0)
                          if drone is not None else None)
 
@@ -399,37 +361,27 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
             keep = slice(None)
         hits_world = origins[ok][keep] + ranges[:, None] * dirs_world[ok][keep]
         all_points.append((hits_world - align_pos) @ align_rot)
-        all_times.append(ray_times[ok][keep])
 
     points = np.concatenate(all_points) if all_points else np.empty((0, 3))
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    return ScanFrame(points, times, t0, t0 + duration)
+    return ScanFrame(points, t0, t0 + duration)
 
 
-def simulate_full_scan(scene, trajectories, lidar, motor, t0, drone=None,
-                       rng=None, sweep_angle: float = np.pi) -> ScanFrame:
-    """One detection sweep: the motor turns by ``sweep_angle`` (>= pi covers the sphere)."""
-    if motor.mode != "sweep":
-        raise ValueError("motor must be in sweep mode")
-    duration = sweep_angle / motor.angular_velocity
-
+def simulate_full_scan(scene, trajectories, lidar, angular_velocity, t0, drone=None,
+                       rng=None) -> ScanFrame:
+    """One detection sweep: the motor turns by pi at ``angular_velocity``, covering the sphere."""
     def angle_fn(ts):
-        return motor.angle + motor.angular_velocity * (ts - t0)
+        return angular_velocity * (ts - t0)
 
-    return _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng)
+    return _cast(scene, trajectories, lidar, t0, np.pi / angular_velocity, angle_fn, drone, rng)
 
 
-def simulate_vibration_frame(scene, trajectories, lidar, motor, t0, drone=None,
-                             rng=None) -> ScanFrame:
-    """One tracking frame: the motor bounces +-amplitude around the vibrate center."""
-    if motor.mode != "vibrate":
-        raise ValueError("motor must be in vibrate mode")
-    period = motor.vibrate_period
-
+def simulate_vibration_frame(scene, trajectories, lidar, center, amplitude, period, t0,
+                             drone=None, rng=None) -> ScanFrame:
+    """One tracking frame of ``period`` s: the motor bounces +-amplitude around ``center``."""
     def angle_fn(ts):
         u = ((ts - t0) / period) % 1.0
         tri = np.where(u < 0.25, 4.0 * u, np.where(u < 0.75, 2.0 - 4.0 * u, 4.0 * u - 4.0))
-        return motor.vibrate_center + motor.vibrate_amplitude * tri
+        return center + amplitude * tri
 
     return _cast(scene, trajectories, lidar, t0, period, angle_fn, drone, rng)
 
@@ -451,14 +403,15 @@ def _perturb_direction(direction, sigma, rng):
 def observe_vds(camera_pose: Pose, model: IndirectObsModel, rng=None) -> np.ndarray:
     """Vanishing directions of the world axes as seen by one camera.
 
-    Columns are the world axes rotated into the camera frame, each tilted
-    by angular noise; with ``scramble`` on, column order and signs are
+    Columns are the world X, Y and Z axes rotated into the camera frame
+    (the columns of the camera rotation's transpose), each tilted by
+    angular noise; with ``scramble`` on, column order and signs are
     randomized the way an unlabeled detector would return them.
     """
     need_rng = model.vd_noise > 0.0 or model.scramble
     if need_rng:
         rng = np.random.default_rng(rng)
-    cols = camera_pose.rotation.T @ model.world_axes
+    cols = camera_pose.rotation.T.copy()
     if model.vd_noise > 0.0:
         for i in range(3):
             cols[:, i] = _perturb_direction(cols[:, i], model.vd_noise, rng)

@@ -67,6 +67,8 @@ def mean_shift_refine(points, start, params: MeanShiftParams,
     for _ in range(n_iter):
         sq = np.sum((support - estimate) ** 2, axis=1)
         weights = np.exp(-sq / params.bandwidth)
+        if not weights.any():   # all underflowed: the same weighted mean, scaled up
+            weights = np.exp(-(sq - sq.min()) / params.bandwidth)
         estimate = (weights @ support) / np.sum(weights)
     return estimate
 

@@ -7,6 +7,8 @@ from dronepose.geom import euler_to_rotation
 from dronepose.pipeline import _SimSource, load_scenario
 from dronepose.scan_sim import TrajectorySpec
 
+SWEEP_OMEGA = 11.4 * 2.0 * np.pi / 60.0    # rad/s, the scenario default of 11.4 rpm
+
 
 def static_trajectory(position, rpy_deg=(0.0, 0.0, 0.0), t_end=1000.0):
     rot = euler_to_rotation(*np.deg2rad(rpy_deg))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dronepose.cli import main
+from dronepose.pipeline import CSV_HEADER
 from conftest import manhattan_scenario_text
 
 EXP1 = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_gentle_drift.scenario"
@@ -103,6 +104,21 @@ class TestMetricsCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense\n")
         assert main(["metrics", "--record", str(bad)]) == 1
+
+    @pytest.mark.parametrize("column, cell", [(3, "abc"), (13, "tracking"), (14, "yes")])
+    def test_bad_cell_exits_one_naming_the_line(self, column, cell, tmp_path):
+        row = ["0.5"] + ["1.0"] * 12 + ["locked", "0"]
+        bad = list(row)
+        bad[column] = cell
+        path = tmp_path / "trajectory.csv"
+        path.write_text("\n".join([CSV_HEADER, ",".join(row), ",".join(bad)]) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dronepose.cli", "metrics", "--record", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}:3: ")
+        assert repr(cell) in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestSweepCommand:

@@ -174,7 +174,7 @@ class TestOrthonormalize:
 
 class TestPose:
     def test_transform_round_trip(self, rng):
-        pose = Pose(random_rotation(rng), rng.normal(size=3), frame="world")
+        pose = Pose(random_rotation(rng), rng.normal(size=3))
         pts = rng.normal(size=(10, 3))
         assert np.allclose(pose.inverse_transform(pose.transform(pts)), pts, atol=1e-9)
 

@@ -359,7 +359,7 @@ def cluster_inputs(k, center, drone_vds=AXES, ego=None, spread=0.05):
     t0 = 0.12 * k
     rng = np.random.default_rng(k)
     pts = np.asarray(center, dtype=float) + rng.normal(scale=spread, size=(60, 3))
-    scan = ScanFrame(pts, np.linspace(t0, t0 + 0.12, 60), t0, t0 + 0.12)
+    scan = ScanFrame(pts, t0, t0 + 0.12)
     return pipeline._VibrationInputs(scan, t0 + 0.06, IDENTITY, IDENTITY, AXES, drone_vds, ego,
                                      truth_position=np.asarray(center, dtype=float),
                                      truth_rotation=np.eye(3))

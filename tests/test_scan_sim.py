@@ -6,8 +6,6 @@ from dronepose.scan_sim import (
     DroneModel,
     IndirectObsModel,
     LidarModel,
-    MotorState,
-    ScanFrame,
     Scene,
     ScenePrimitive,
     Trajectories,
@@ -20,7 +18,10 @@ from dronepose.scan_sim import (
     _ray_rect_z,
     _ray_spheres,
 )
-from conftest import static_trajectory
+from conftest import SWEEP_OMEGA, static_trajectory
+
+VIBRATE_AMPLITUDE = np.deg2rad(5.0)
+VIBRATE_PERIOD = 0.12    # s
 
 
 @pytest.fixture
@@ -186,20 +187,20 @@ class TestFullScan:
         scene = Scene([ScenePrimitive("sphere", center, (4.0, 4.0, 4.0))])
         traj = Trajectories(drone=static_trajectory((0, 0, 500)), vehicle=vehicle_at_origin)
         frame = simulate_full_scan(scene, traj, LidarModel(points_per_second=60000.0),
-                                   MotorState(mode="sweep"), 0.0)
+                                   SWEEP_OMEGA, 0.0)
         assert len(frame) > 100
         radii = np.linalg.norm(frame.points - center, axis=1)
         assert np.max(np.abs(radii - 2.0)) < 1e-9
 
     def test_empty_scene_empty_frame(self, vehicle_at_origin):
         frame = simulate_full_scan(Scene([]), world(), LidarModel(),
-                                   MotorState(mode="sweep"), 0.0)
+                                   SWEEP_OMEGA, 0.0)
         assert len(frame) == 0
 
     def test_drone_only_returns_near_body(self):
         drone = DroneModel(width=0.5)
         frame = simulate_full_scan(Scene([]), world(drone_pos=(0, 0, 20)), LidarModel(),
-                                   MotorState(mode="sweep"), 0.0, drone=drone)
+                                   SWEEP_OMEGA, 0.0, drone=drone)
         assert len(frame) > 0
         dists = np.linalg.norm(frame.points - (0, 0, 20), axis=1)
         assert np.max(dists) <= 0.5 * np.sqrt(3.0) / 2.0 + 1e-9
@@ -210,7 +211,7 @@ class TestFullScan:
         scene = Scene([ScenePrimitive("box", center, dims)])
         traj = Trajectories(drone=static_trajectory((0, 0, 500)), vehicle=vehicle_at_origin)
         frame = simulate_full_scan(scene, traj, LidarModel(points_per_second=60000.0),
-                                   MotorState(mode="sweep"), 0.0)
+                                   SWEEP_OMEGA, 0.0)
         assert len(frame) > 50
         rel = np.abs(frame.points - center) - dims / 2.0
         on_face = np.min(np.abs(rel), axis=1) < 1e-9
@@ -221,10 +222,9 @@ class TestFullScan:
         scene = Scene([ScenePrimitive("sphere", (0, 0, 0), (100.0, 100.0, 100.0))])
         traj = Trajectories(drone=static_trajectory((0, 0, 500)), vehicle=vehicle_at_origin)
         lidar = LidarModel(points_per_second=60000.0, max_range=80.0)
-        motor = MotorState(mode="sweep")
-        frame = simulate_full_scan(scene, traj, lidar, motor, 0.0)
+        frame = simulate_full_scan(scene, traj, lidar, SWEEP_OMEGA, 0.0)
         azimuths = np.arctan2(frame.points[:, 1], frame.points[:, 0])
-        step = motor.angular_velocity * lidar.firing_interval
+        step = SWEEP_OMEGA * lidar.firing_interval
         # directions wrap, so measure covered arc on the circle
         hist, _ = np.histogram(azimuths, bins=360, range=(-np.pi, np.pi))
         covered = np.count_nonzero(hist) / 360.0 * 2.0 * np.pi
@@ -243,7 +243,7 @@ class TestFullScan:
         )
         traj = Trajectories(drone=static_trajectory((0, 0, 500)), vehicle=vehicle)
         frame = simulate_full_scan(scene, traj, LidarModel(points_per_second=60000.0),
-                                   MotorState(mode="sweep"), 0.0)
+                                   SWEEP_OMEGA, 0.0)
         assert len(frame) > 50
         align = vehicle.pose_at(0.0)
         world_pts = align.transform(frame.points)
@@ -255,62 +255,46 @@ class TestFullScan:
         scene = Scene([ScenePrimitive("sphere", center, (4.0, 4.0, 4.0))])
         traj = Trajectories(drone=static_trajectory((0, 0, 500)), vehicle=vehicle_at_origin)
         lidar = LidarModel(points_per_second=60000.0, range_noise=0.05)
-        frame = simulate_full_scan(scene, traj, lidar, MotorState(mode="sweep"), 0.0,
+        frame = simulate_full_scan(scene, traj, lidar, SWEEP_OMEGA, 0.0,
                                    rng=np.random.default_rng(3))
         radii = np.linalg.norm(frame.points - center, axis=1)
         spread = np.std(radii - 2.0)
         assert 0.03 < spread < 0.08
 
-    def test_requires_sweep_mode(self):
-        with pytest.raises(ValueError):
-            simulate_full_scan(Scene([]), world(), LidarModel(),
-                               MotorState(mode="vibrate", vibrate_center=0.0), 0.0)
-
 
 class TestVibrationFrame:
     def test_drone_inside_wedge_gets_returns(self):
         drone_pos = (5.0, 5.0, 18.0)
-        motor = MotorState(mode="vibrate", vibrate_center=np.arctan2(5.0, 5.0))
         frame = simulate_vibration_frame(Scene([]), world(drone_pos), LidarModel(),
-                                         motor, 0.0, drone=DroneModel())
+                                         np.arctan2(5.0, 5.0), VIBRATE_AMPLITUDE,
+                                         VIBRATE_PERIOD, 0.0, drone=DroneModel())
         assert len(frame) >= 1
         assert np.all(np.linalg.norm(frame.points - drone_pos, axis=1) < 0.5)
 
     def test_drone_far_outside_wedge_gets_none(self):
         drone_pos = (5.0, 5.0, 1.0)   # low elevation so the fan must point at it
         az = np.arctan2(5.0, 5.0)
-        motor = MotorState(mode="vibrate", vibrate_center=az + np.pi / 2)
         frame = simulate_vibration_frame(Scene([]), world(drone_pos), LidarModel(),
-                                         motor, 0.0, drone=DroneModel())
+                                         az + np.pi / 2, VIBRATE_AMPLITUDE, VIBRATE_PERIOD,
+                                         0.0, drone=DroneModel())
         assert len(frame) == 0
 
     def test_deterministic_for_same_seed(self):
         scene = Scene([ScenePrimitive("box", (10, 0, 5), (4, 4, 10))], seed=2)
-        motor = MotorState(mode="vibrate", vibrate_center=0.2)
         lidar = LidarModel(range_noise=0.03)
         frames = [
-            simulate_vibration_frame(scene, world(), lidar, motor, 0.0,
-                                     drone=DroneModel(), rng=np.random.default_rng(77))
+            simulate_vibration_frame(scene, world(), lidar, 0.2, VIBRATE_AMPLITUDE,
+                                     VIBRATE_PERIOD, 0.0, drone=DroneModel(),
+                                     rng=np.random.default_rng(77))
             for _ in range(2)
         ]
         assert np.array_equal(frames[0].points, frames[1].points)
-        assert np.array_equal(frames[0].times, frames[1].times)
 
     def test_frame_duration_is_one_period(self):
-        motor = MotorState(mode="vibrate", vibrate_center=0.0, vibrate_period=0.12)
-        frame = simulate_vibration_frame(Scene([]), world(), LidarModel(), motor, 2.0)
+        frame = simulate_vibration_frame(Scene([]), world(), LidarModel(), 0.0,
+                                         VIBRATE_AMPLITUDE, 0.12, 2.0)
         assert frame.t_start == 2.0
         assert frame.t_end == pytest.approx(2.12)
-
-
-class TestScanFrame:
-    def test_timestamp_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            ScanFrame(np.zeros((1, 3)), np.array([5.0]), 0.0, 1.0)
-
-    def test_point_time_mismatch(self):
-        with pytest.raises(ValueError):
-            ScanFrame(np.zeros((2, 3)), np.array([0.5]), 0.0, 1.0)
 
 
 class TestTrajectory:

@@ -6,7 +6,6 @@ from dronepose.detector import KernelParams, NoCandidatesError
 from dronepose.scan_sim import (
     DroneModel,
     LidarModel,
-    MotorState,
     ScanFrame,
     Scene,
     Trajectories,
@@ -20,7 +19,7 @@ from dronepose.tracker import (
     mean_shift_refine,
     track_step,
 )
-from conftest import static_trajectory
+from conftest import SWEEP_OMEGA, static_trajectory
 from oracles import oracle_mean_shift
 
 
@@ -32,8 +31,7 @@ def params():
 def cluster_frame(center, t0, n=60, spread=0.05, seed=0):
     rng = np.random.default_rng(seed)
     pts = np.asarray(center) + rng.normal(scale=spread, size=(n, 3))
-    times = np.linspace(t0, t0 + 0.12, n)
-    return ScanFrame(pts, times, t0, t0 + 0.12)
+    return ScanFrame(pts, t0, t0 + 0.12)
 
 
 class TestMeanShiftRefine:
@@ -47,6 +45,14 @@ class TestMeanShiftRefine:
         delta = np.array([0.2, 0.1, -0.15])
         out = mean_shift_refine([c + delta, c - delta], c, params)
         assert np.allclose(out, c, atol=1e-9)
+
+    def test_tiny_bandwidth_snaps_to_nearest_point(self):
+        # every Gaussian weight underflows to 0 at this bandwidth; the step must
+        # not divide 0 by 0
+        near, far = np.array([2.0, 1.0, 10.0]), np.array([3.0, 1.0, 10.0])
+        params = MeanShiftParams(radius=2.0, bandwidth=1e-7)
+        out = mean_shift_refine([far, near], near + [0.3, 0.1, 0.0], params)
+        assert np.array_equal(out, near)
 
     def test_empty_neighborhood_raises(self, params):
         with pytest.raises(TargetLostError):
@@ -145,8 +151,7 @@ class TestAcquire:
         traj = Trajectories(drone=static_trajectory(drone_pos),
                             vehicle=static_trajectory((0.0, 0.0, 1.5)))
         lidar = LidarModel(points_per_second=400000.0)
-        motor = MotorState(mode="sweep")
-        return simulate_full_scan(scene, traj, lidar, motor, 0.0,
+        return simulate_full_scan(scene, traj, lidar, SWEEP_OMEGA, 0.0,
                                   drone=DroneModel(width=drone_width))
 
     def test_locks_with_small_error(self):
@@ -161,8 +166,7 @@ class TestAcquire:
         scene = Scene([])
         traj = Trajectories(drone=static_trajectory((0, 0, 20)),
                             vehicle=static_trajectory((0, 0, 1.5)))
-        frame = simulate_full_scan(scene, traj, LidarModel(), MotorState(mode="sweep"),
-                                   0.0, drone=None)
+        frame = simulate_full_scan(scene, traj, LidarModel(), SWEEP_OMEGA, 0.0, drone=None)
         with pytest.raises(NoCandidatesError):
             acquire(frame, ProjectionParams(), KernelParams(), MeanShiftParams())
 

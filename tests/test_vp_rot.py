@@ -21,7 +21,6 @@ from dronepose.vp_rot import (
     estimate_rotation,
     filter_rotation,
     match_vds,
-    validate_vanishing_matrix,
 )
 from oracles import oracle_match
 
@@ -46,11 +45,23 @@ class TestCompleteVd:
         with pytest.raises(ValueError, match="collinear"):
             complete_vd((1, 0, 0), v2)
 
-    def test_validation_rejects_non_unit(self):
-        bad = np.eye(3)
-        bad[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            validate_vanishing_matrix(bad)
+    def test_accepted_pairs_give_well_conditioned_matrices(self):
+        # The 10-degree pair check is the only check complete_vd makes; what
+        # it accepts must be unit columns, pairwise non-collinear, far from singular.
+        rng = np.random.default_rng(12)
+        limit = np.deg2rad(10.0)
+        margins = np.concatenate([[1e-12, 1e-9, 1e-6], rng.uniform(0.0, np.pi - 2 * limit, 60)])
+        for margin in margins:
+            for angle in (limit + margin, np.pi - limit - margin):
+                v1 = rng.normal(size=3)
+                v1 /= np.linalg.norm(v1)
+                v2 = rotation_about_axis(np.cross(v1, rng.normal(size=3)), angle) @ v1
+                scale1, scale2 = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+                v = complete_vd(scale1 * v1, scale2 * v2)
+                assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) <= 1e-12
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    assert np.linalg.norm(np.cross(v[:, i], v[:, j])) >= np.sin(limit)
+                assert abs(np.linalg.det(v)) > 0.1
 
 
 class TestMatchVds:
