@@ -460,8 +460,8 @@ class _SimSource:
                                             sigma=sc.obs.ego_noise, rng=self.rng)
         return _VibrationInputs(
             scan, t_mid, start, vehicle, v_vehicle, v_drone, ego,
-            truth_position=start.rotation.T @ (traj.drone.position_at(t_mid) - start.translation),
-            truth_rotation=vehicle.rotation.T @ traj.drone.rotation_at(t_mid))
+            truth_position=start.rotation.T @ (drone_pose.translation - start.translation),
+            truth_rotation=vehicle.rotation.T @ drone_pose.rotation)
 
 
 class _Estimator:

@@ -135,6 +135,10 @@ class TrajectorySpec:
         for r in self.rotations:
             if not is_rotation(r, tol=1e-6):
                 raise ValueError("waypoint rotation is not a proper rotation")
+        # Per segment: None when its rotation is constant, else (theta, K, K @ K)
+        # of the relative rotation's axis-angle, for Rodrigues' formula.
+        self._segments = [_segment_terms(r0, r1)
+                          for r0, r1 in zip(self.rotations[:-1], self.rotations[1:])]
 
     def positions_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -146,32 +150,46 @@ class TrajectorySpec:
     def rotations_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         seg = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
-        t0 = self.times[seg]
-        t1 = self.times[seg + 1]
-        u = np.clip((ts - t0) / (t1 - t0), 0.0, 1.0)
         out = np.empty((len(ts), 3, 3))
+        if len(ts) and seg.min() == seg.max():
+            out[:] = self._segment_rotations(seg[0], ts)
+            return out
         for s in np.unique(seg):
             sel = seg == s
-            r0 = self.rotations[s]
-            rv = rotation_log(r0.T @ self.rotations[s + 1])
-            theta = float(np.linalg.norm(rv))
-            if theta < 1e-12:
-                out[sel] = r0
-                continue
-            x, y, z = rv / theta
-            k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-            k2 = k @ k
-            ang = u[sel] * theta
-            blend = (np.eye(3)[None] + np.sin(ang)[:, None, None] * k
-                     + (1.0 - np.cos(ang))[:, None, None] * k2)
-            out[sel] = np.einsum("ij,njk->nik", r0, blend)
+            out[sel] = self._segment_rotations(s, ts[sel])
         return out
+
+    def _segment_rotations(self, s, ts):
+        """Rotations at times ``ts`` (clamped) on segment ``s``: (n, 3, 3), or
+        the segment's constant (3, 3) rotation."""
+        r0 = self.rotations[s]
+        if self._segments[s] is None:
+            return r0
+        theta, k, k2 = self._segments[s]
+        u = np.clip((ts - self.times[s]) / (self.times[s + 1] - self.times[s]), 0.0, 1.0)
+        ang = u * theta
+        blend = (np.eye(3)[None] + np.sin(ang)[:, None, None] * k
+                 + (1.0 - np.cos(ang))[:, None, None] * k2)
+        return np.einsum("ij,njk->nik", r0, blend)
 
     def rotation_at(self, t: float) -> np.ndarray:
         return self.rotations_at([t])[0]
 
     def pose_at(self, t: float) -> Pose:
         return Pose(self.rotation_at(t), self.position_at(t))
+
+
+def _segment_terms(r0, r1):
+    """(theta, K, K @ K) of the rotation from ``r0`` to ``r1``, or None if it is constant."""
+    if np.array_equal(r0, r1):
+        return None
+    rv = rotation_log(r0.T @ r1)
+    theta = float(np.linalg.norm(rv))
+    if theta < 1e-12:
+        return None
+    x, y, z = rv / theta
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return theta, k, k @ k
 
 
 @dataclass
@@ -251,8 +269,7 @@ class Scene:
         if len(self.lone_centers):
             t = np.minimum(t, _ray_spheres(origins, dirs, self.lone_centers, self.lone_radii))
         if self.groups:
-            cand = _may_hit(origins[None] - self.bound_centers[:, None], dirs,
-                            self.bound_radii[:, None])
+            cand = _may_hit(origins, dirs, self.bound_centers[:, None], self.bound_radii[:, None])
             for (exact, a, b), rays in zip(self.groups, cand):
                 sel = np.flatnonzero(rays)
                 if len(sel):
@@ -260,7 +277,7 @@ class Scene:
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            sel = np.flatnonzero(_may_hit(origins - drone_centers, dirs,
+            sel = np.flatnonzero(_may_hit(origins, dirs, drone_centers,
                                           _pad(np.sqrt(3.0) * drone_half)))
             if len(sel):
                 c = drone_centers[sel]
@@ -274,11 +291,12 @@ def _pad(radius):
     return radius * (1.0 + _BOUND_PAD) + _BOUND_PAD
 
 
-def _may_hit(offsets, dirs, radius):
-    """Broad phase: True where a ray, given as origin minus sphere center
-    and unit direction, can meet the sphere at a positive distance."""
-    b = np.einsum("...d,...d->...", offsets, dirs)
-    c = np.einsum("...d,...d->...", offsets, offsets) - radius * radius
+def _may_hit(origins, dirs, centers, radius):
+    """Broad phase: True where a ray (origin, unit direction) can meet a sphere
+    (center, radius) at a positive distance; the arrays broadcast."""
+    ox, oy, oz = (origins[..., i] - centers[..., i] for i in range(3))
+    b = ox * dirs[..., 0] + oy * dirs[..., 1] + oz * dirs[..., 2]
+    c = ox * ox + oy * oy + oz * oz - radius * radius
     return (c <= 0.0) | ((b <= 0.0) & (b * b >= c))
 
 
@@ -345,21 +363,24 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         dirs[:, :, 1] = y
 
         veh_rot = trajectories.vehicle.rotations_at(times)
-        dirs_world = np.einsum("fij,fbj->fbi", veh_rot, dirs).reshape(-1, 3)
+        # One einsum per output axis sums the same products in the same order as
+        # one over all three axes, so the bits match; np.matmul's do not.
+        dirs_world = np.empty_like(dirs)
+        for i in range(3):
+            np.einsum("fj,fbj->fb", veh_rot[:, i], dirs, out=dirs_world[:, :, i])
+        dirs_world = dirs_world.reshape(-1, 3)
         origins = np.repeat(trajectories.vehicle.positions_at(times), n_beams, axis=0)
         drone_centers = (np.repeat(trajectories.drone.positions_at(times), n_beams, axis=0)
                          if drone is not None else None)
 
         t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half)
-        ok = np.isfinite(t_hit) & (t_hit <= lidar.max_range)
-        ranges = t_hit[ok]
+        hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
+        ranges = t_hit[hit]
         if lidar.range_noise > 0.0 and len(ranges):
             ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
             keep = (ranges > 0.0) & (ranges <= lidar.max_range)
-            ranges = ranges[keep]
-        else:
-            keep = slice(None)
-        hits_world = origins[ok][keep] + ranges[:, None] * dirs_world[ok][keep]
+            hit, ranges = hit[keep], ranges[keep]
+        hits_world = origins[hit] + ranges[:, None] * dirs_world[hit]
         all_points.append((hits_world - align_pos) @ align_rot)
 
     points = np.concatenate(all_points) if all_points else np.empty((0, 3))

@@ -4,12 +4,21 @@ These deliberately avoid the production code paths: the detector oracle
 evaluates every non-zero pixel with per-candidate coordinate grids and
 explicit bounds handling (no shared padding, no size grouping), and the
 mean-shift oracle iterates plain Python arithmetic with exact fsum.
+
+The cast oracle is the simulator's ray-casting loop as it was before its
+per-chunk work was cut: one ``rotation_log`` per trajectory segment and
+chunk, and one einsum over all three direction axes. It shares
+``Scene.nearest_hit`` and ``positions_at`` with the library and pins the
+bits of everything the rewrite touched.
 """
 
 import math
 from itertools import permutations, product
 
 import numpy as np
+
+from dronepose.geom import rotation_log
+from dronepose.scan_sim import _CHUNK_FIRINGS, ScanFrame
 
 
 def oracle_inner_size(depth, drone_width, focal, max_inner):
@@ -109,3 +118,80 @@ def oracle_match(vehicle_vds, drone_vds, prior):
                 best = cand
     _, perm, signs, residuals = best
     return perm, signs, np.array(residuals)
+
+
+def reference_rotations_at(traj, ts):
+    """Geodesic rotation interpolation, relative rotation logged per call."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    seg = np.clip(np.searchsorted(traj.times, ts, side="right") - 1, 0, len(traj.times) - 2)
+    t0 = traj.times[seg]
+    t1 = traj.times[seg + 1]
+    u = np.clip((ts - t0) / (t1 - t0), 0.0, 1.0)
+    out = np.empty((len(ts), 3, 3))
+    for s in np.unique(seg):
+        sel = seg == s
+        r0 = traj.rotations[s]
+        rv = rotation_log(r0.T @ traj.rotations[s + 1])
+        theta = float(np.linalg.norm(rv))
+        if theta < 1e-12:
+            out[sel] = r0
+            continue
+        x, y, z = rv / theta
+        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        k2 = k @ k
+        ang = u[sel] * theta
+        blend = (np.eye(3)[None] + np.sin(ang)[:, None, None] * k
+                 + (1.0 - np.cos(ang))[:, None, None] * k2)
+        out[sel] = np.einsum("ij,njk->nik", r0, blend)
+    return out
+
+
+def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
+    """``scan_sim._cast`` with the same signature, in its per-chunk form."""
+    if lidar.range_noise > 0.0 and rng is None:
+        raise ValueError("range noise requires an rng")
+    n_firings = int(np.floor(duration / lidar.firing_interval + 1e-9))
+    beams = lidar.beam_elevations
+    n_beams = len(beams)
+    sb, cb = np.sin(beams), np.cos(beams)
+    align_rot = reference_rotations_at(trajectories.vehicle, [t0])[0]
+    align_pos = trajectories.vehicle.position_at(t0)
+    drone_half = drone.width / 2.0 if drone is not None else 0.0
+
+    all_points = []
+    for start in range(0, n_firings, _CHUNK_FIRINGS):
+        idx = np.arange(start, min(start + _CHUNK_FIRINGS, n_firings))
+        times = t0 + idx * lidar.firing_interval
+        alpha = idx * lidar.azimuth_step
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        dirs = np.empty((len(idx), n_beams, 3))
+        dirs[:, :, 0] = sa[:, None] * cb[None, :]
+        dirs[:, :, 1] = sb[None, :]
+        dirs[:, :, 2] = ca[:, None] * cb[None, :]
+        phi = angle_fn(times)
+        cp, sp = np.cos(phi), np.sin(phi)
+        x = dirs[:, :, 0] * cp[:, None] - dirs[:, :, 1] * sp[:, None]
+        y = dirs[:, :, 0] * sp[:, None] + dirs[:, :, 1] * cp[:, None]
+        dirs[:, :, 0] = x
+        dirs[:, :, 1] = y
+
+        veh_rot = reference_rotations_at(trajectories.vehicle, times)
+        dirs_world = np.einsum("fij,fbj->fbi", veh_rot, dirs).reshape(-1, 3)
+        origins = np.repeat(trajectories.vehicle.positions_at(times), n_beams, axis=0)
+        drone_centers = (np.repeat(trajectories.drone.positions_at(times), n_beams, axis=0)
+                         if drone is not None else None)
+
+        t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half)
+        ok = np.isfinite(t_hit) & (t_hit <= lidar.max_range)
+        ranges = t_hit[ok]
+        if lidar.range_noise > 0.0 and len(ranges):
+            ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
+            keep = (ranges > 0.0) & (ranges <= lidar.max_range)
+            ranges = ranges[keep]
+        else:
+            keep = slice(None)
+        hits_world = origins[ok][keep] + ranges[:, None] * dirs_world[ok][keep]
+        all_points.append((hits_world - align_pos) @ align_rot)
+
+    points = np.concatenate(all_points) if all_points else np.empty((0, 3))
+    return ScanFrame(points, t0, t0 + duration)

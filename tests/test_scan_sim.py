@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dronepose.geom import Pose, angle_between, rotation_about_z
+from dronepose import scan_sim
+from dronepose.geom import Pose, angle_between, euler_to_rotation, rotation_about_z
 from dronepose.scan_sim import (
     DroneModel,
     IndirectObsModel,
@@ -19,6 +20,7 @@ from dronepose.scan_sim import (
     _ray_spheres,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
+from oracles import reference_cast, reference_rotations_at
 
 VIBRATE_AMPLITUDE = np.deg2rad(5.0)
 VIBRATE_PERIOD = 0.12    # s
@@ -79,40 +81,50 @@ def unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def random_scene(rng):
-    prims = [ScenePrimitive("ground_plane", (0.0, 0.0, rng.uniform(-2, 0)), (60.0, 50.0, 1.0))]
+# A vehicle about 1 km from the world origin: there the broad phase's padding
+# is smallest relative to the coordinates it is computed from.
+FAR = np.array([830.0, -560.0, 40.0])
+
+
+def random_scene(rng, shift=np.zeros(3)):
+    prims = [ScenePrimitive("ground_plane", shift + (0.0, 0.0, rng.uniform(-2, 0)),
+                            (60.0, 50.0, 1.0))]
     for _ in range(rng.integers(1, 4)):
-        prims.append(ScenePrimitive("box", rng.uniform(-12, 12, 3), rng.uniform(0.5, 6, 3)))
+        prims.append(ScenePrimitive("box", shift + rng.uniform(-12, 12, 3),
+                                    rng.uniform(0.5, 6, 3)))
     for _ in range(rng.integers(1, 4)):
-        prims.append(ScenePrimitive("sparse_blob", rng.uniform(-12, 12, 3),
+        prims.append(ScenePrimitive("sparse_blob", shift + rng.uniform(-12, 12, 3),
                                     (rng.uniform(0.1, 0.6),) * 3,
                                     count=int(rng.integers(1, 30)),
                                     scatter_radius=rng.uniform(0.5, 4.0)))
     for _ in range(rng.integers(0, 4)):
-        prims.append(ScenePrimitive("sphere", rng.uniform(-12, 12, 3), (rng.uniform(0.2, 3),) * 3))
+        prims.append(ScenePrimitive("sphere", shift + rng.uniform(-12, 12, 3),
+                                    (rng.uniform(0.2, 3),) * 3))
     return Scene(prims, seed=int(rng.integers(100)))
 
 
-def grazing_rays(rng, centers, radii):
-    """Rays tangent to each sphere, from origins 1-30 m away along the tangent."""
-    normal = unit(rng.normal(size=centers.shape))
+def grazing_rays(rng, centers, radii, normal=None):
+    """Rays tangent to each sphere, from origins 1-30 m away along the tangent;
+    the tangent points lie along ``normal`` (random by default)."""
+    if normal is None:
+        normal = unit(rng.normal(size=centers.shape))
     along = unit(np.cross(normal, rng.normal(size=centers.shape)))
     touch = centers + radii[:, None] * normal
     origins = touch - rng.uniform(1.0, 30.0, size=(len(centers), 1)) * along
     return origins, along
 
 
-def edge_case_rays(rng, scene):
+def edge_case_rays(rng, scene, shift=np.zeros(3)):
     """Origins and directions covering the broad phase's edge cases."""
     n = 400
-    origins = [rng.uniform(-20, 20, (n, 3))]
+    origins = [shift + rng.uniform(-20, 20, (n, 3))]
     dirs = [unit(rng.normal(size=(n, 3)))]
     # zero direction components: axis-aligned and in-plane rays, signed zeros
     axis = np.zeros((n, 3))
     axis[np.arange(n), rng.integers(0, 3, n)] = rng.choice((-1.0, 1.0), n)
     planar = unit(rng.normal(size=(n, 3)))
     planar[np.arange(n), rng.integers(0, 3, n)] = rng.choice((0.0, -0.0), n)
-    origins += [rng.uniform(-20, 20, (n, 3)), rng.uniform(-20, 20, (n, 3))]
+    origins += [shift + rng.uniform(-20, 20, (n, 3)), shift + rng.uniform(-20, 20, (n, 3))]
     dirs += [axis, unit(planar)]
     # origins inside blob spheres and at the centers of the bounds
     for pts in (scene.sphere_centers, scene.bound_centers):
@@ -130,9 +142,15 @@ def edge_case_rays(rng, scene):
     for prim in scene.primitives:
         if prim.kind == "box":
             corners = prim.center + prim.dimensions / 2.0 * rng.choice((-1.0, 1.0), (50, 3))
-            o = rng.uniform(-25, 25, (50, 3))
+            o = shift + rng.uniform(-25, 25, (50, 3))
             origins.append(o)
             dirs.append(unit(corners - o))
+            # tangent to the box's bounding sphere at a corner, where both touch
+            centers = np.repeat(prim.center[None], 50, axis=0)
+            o, d = grazing_rays(rng, centers, np.full(50, np.linalg.norm(prim.dimensions) / 2.0),
+                                unit(corners - prim.center))
+            origins.append(o)
+            dirs.append(d)
     return np.concatenate(origins), np.concatenate(dirs)
 
 
@@ -140,21 +158,35 @@ class TestBroadPhase:
     """Culled nearest_hit returns the same bits as the all-pairs cast."""
 
     def test_random_scenes_match_dense_reference(self):
+        self.check_random_scenes(np.zeros(3))
+
+    def test_random_scenes_far_from_origin(self):
+        self.check_random_scenes(FAR)
+
+    def test_drone_boxes_with_per_ray_centers(self):
+        self.check_drone_boxes(np.zeros(3))
+
+    def test_drone_boxes_far_from_origin(self):
+        self.check_drone_boxes(FAR)
+
+    @staticmethod
+    def check_random_scenes(shift):
         rng = np.random.default_rng(20861)
         hits = 0
         for _ in range(25):
-            scene = random_scene(rng)
-            origins, dirs = edge_case_rays(rng, scene)
+            scene = random_scene(rng, shift)
+            origins, dirs = edge_case_rays(rng, scene, shift)
             got = scene.nearest_hit(origins, dirs)
             assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
             hits += np.count_nonzero(np.isfinite(got))
         assert hits > 10_000
 
-    def test_drone_boxes_with_per_ray_centers(self):
+    @staticmethod
+    def check_drone_boxes(shift):
         rng = np.random.default_rng(20862)
         for half in (0.05, 0.25, 1.5):
-            scene = random_scene(rng)
-            origins, dirs = edge_case_rays(rng, scene)
+            scene = random_scene(rng, shift)
+            origins, dirs = edge_case_rays(rng, scene, shift)
             drone = origins + 6.0 * dirs + rng.normal(0.0, 2.0 * half, origins.shape)
             drone[::7] = origins[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
             got = scene.nearest_hit(origins, dirs, drone, half)
@@ -329,6 +361,132 @@ class TestTrajectory:
         for i, t in enumerate(ts):
             assert np.allclose(batch_p[i], traj.position_at(float(t)))
             assert np.allclose(batch_r[i], traj.rotation_at(float(t)))
+
+
+# Segments of 2.5 s: rotating ones, constant ones (equal waypoint rotations,
+# and two that differ in one ulp), and a mix of both.
+_RA = euler_to_rotation(0.3, -0.7, 2.1)
+_RA_ULP = np.nextafter(_RA, 2.0)
+TRAJECTORY_ROTATIONS = {
+    "rotating": [euler_to_rotation(*a) for a in
+                 ((0.1, -0.2, 0.3), (0.4, 0.1, -1.2), (-0.3, 0.5, 2.9), (0.0, 0.0, -2.0))],
+    "constant": [_RA, _RA, _RA_ULP, _RA_ULP],
+    "mixed": [_RA, _RA, rotation_about_z(0.4), euler_to_rotation(1.0, 0.2, -0.5),
+              euler_to_rotation(1.0, 0.2, -0.5)],
+}
+ROTATION_TIMES = {
+    "unsorted_all_segments": np.random.default_rng(7).uniform(0.0, 10.0, 60),
+    "first_and_last_in_one_segment": np.array([1.0, 3.0, 6.0, 1.5]),
+    "one_segment_unsorted": np.array([4.9, 2.6, 4.1, 2.5]),
+    "outside_the_waypoints": np.array([-4.0, -1e-9, 0.0, 7.5, 7.5 + 1e-9, 10.0, 1e3]),
+    "empty": np.array([]),
+}
+
+
+class TestRotationsAtMatchesReference:
+    """Cached segment terms give the same bits as logging each segment per call."""
+
+    @pytest.mark.parametrize("times", sorted(ROTATION_TIMES))
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_ROTATIONS))
+    def test_bit_identical(self, kind, times):
+        rots = TRAJECTORY_ROTATIONS[kind]
+        traj = TrajectorySpec(np.arange(len(rots)) * 2.5, np.zeros((len(rots), 3)), rots)
+        ts = ROTATION_TIMES[times]
+        got = traj.rotations_at(ts)
+        assert got.shape == (len(ts), 3, 3)
+        assert np.array_equal(got, reference_rotations_at(traj, ts))
+        for t in ts[:5]:
+            assert np.array_equal(traj.rotation_at(float(t)), reference_rotations_at(traj, t)[0])
+
+
+CAST_START = 0.5            # s; the yawing vehicle's rotation starts 10 ms later,
+CAST_YAW_START = 0.51       # inside the first chunk of firings
+DRONE_POS = (6.0, 6.0, 15.0)
+DRONE_AZIMUTH = np.arctan2(DRONE_POS[1], DRONE_POS[0])
+CAST_VEHICLES = {
+    "static": lambda: static_trajectory((0.0, 0.0, 1.5), (1.0, -0.5, 2.0)),
+    "translating": lambda: TrajectorySpec([0.0, 10.0], [(0.0, 0.0, 1.5), (3.0, 1.0, 1.7)],
+                                          [np.eye(3)] * 2),
+    "yawing": lambda: TrajectorySpec(
+        [0.0, CAST_YAW_START, 10.0], [(0.0, 0.0, 1.5), (0.0, 0.0, 1.5), (1.0, -2.0, 1.5)],
+        [np.eye(3), np.eye(3), rotation_about_z(0.6)]),
+}
+CAST_DRONES = {
+    "static": lambda: static_trajectory(DRONE_POS),
+    "moving": lambda: TrajectorySpec([0.0, 0.55, 4.0], [DRONE_POS, (6.5, 5.7, 14.6), (8, 4, 13)],
+                                     [np.eye(3), rotation_about_z(0.3), rotation_about_z(-0.2)]),
+    None: lambda: static_trajectory((0.0, 0.0, 500.0)),
+}
+# (vehicle, drone, range noise): every vehicle, drone and noise setting at least once
+CAST_CASES = [("static", "static", 0.0), ("static", None, 0.03),
+              ("translating", "moving", 0.0), ("translating", "static", 0.03),
+              ("yawing", "moving", 0.03), ("yawing", None, 0.0)]
+
+
+def cast_scene():
+    return Scene([ScenePrimitive("ground_plane", (0.0, 0.0, 0.0), (80.0, 80.0, 1.0)),
+                  ScenePrimitive("box", (12.0, 10.0, 4.0), (4.0, 4.0, 8.0)),
+                  ScenePrimitive("sparse_blob", (-8.0, -8.0, 5.0), (0.3, 0.3, 0.3),
+                                 count=40, scatter_radius=3.0),
+                  ScenePrimitive("sphere", (10.0, 9.0, 20.0), (3.0, 3.0, 3.0))], seed=5)
+
+
+def both_casts(monkeypatch, simulate, noise, *args, **kwargs):
+    """Points from ``simulate`` with the library's cast and the reference cast,
+    each from a fresh generator of the same seed."""
+    def points():
+        rng = np.random.default_rng(41) if noise > 0.0 else None
+        return simulate(*args, rng=rng, **kwargs).points
+
+    got = points()
+    with monkeypatch.context() as m:
+        m.setattr(scan_sim, "_cast", reference_cast)
+        ref = points()
+    return got, ref
+
+
+class TestCastMatchesReference:
+    """The cast returns the reference's points bit for bit, RNG draws included."""
+
+    @pytest.mark.parametrize("vehicle, drone, noise", CAST_CASES)
+    def test_vibration_frame(self, monkeypatch, vehicle, drone, noise):
+        traj = Trajectories(drone=CAST_DRONES[drone](), vehicle=CAST_VEHICLES[vehicle]())
+        got, ref = both_casts(monkeypatch, simulate_vibration_frame, noise, cast_scene(), traj,
+                              LidarModel(range_noise=noise), DRONE_AZIMUTH, VIBRATE_AMPLITUDE,
+                              VIBRATE_PERIOD, CAST_START,
+                              drone=DroneModel() if drone else None)
+        assert len(got) > 1000
+        assert np.array_equal(got, ref)
+        near_drone = np.linalg.norm(got - DRONE_POS, axis=1) < 3.0
+        assert np.any(near_drone) == (drone is not None)
+
+    @pytest.mark.parametrize("vehicle, drone, noise", CAST_CASES)
+    def test_full_scan(self, monkeypatch, vehicle, drone, noise):
+        traj = Trajectories(drone=CAST_DRONES[drone](), vehicle=CAST_VEHICLES[vehicle]())
+        got, ref = both_casts(monkeypatch, simulate_full_scan, noise, cast_scene(), traj,
+                              LidarModel(range_noise=noise, points_per_second=40000.0),
+                              SWEEP_OMEGA, CAST_START, drone=DroneModel() if drone else None)
+        assert len(got) > 10_000
+        assert np.array_equal(got, ref)
+
+
+class TestCastWork:
+    """A cast interpolates rotations from terms cached per trajectory segment."""
+
+    @pytest.mark.parametrize("vehicle", ["static", "yawing"])
+    def test_no_rotation_log_per_cast(self, monkeypatch, vehicle):
+        calls = []
+        real = scan_sim.rotation_log
+        monkeypatch.setattr(scan_sim, "rotation_log", lambda r: calls.append(r) or real(r))
+        traj = Trajectories(drone=CAST_DRONES["moving"](), vehicle=CAST_VEHICLES[vehicle]())
+        # construction logs each rotating segment once; equal waypoints are skipped
+        assert len(calls) == {"static": 2, "yawing": 3}[vehicle]
+        calls.clear()
+        simulate_vibration_frame(cast_scene(), traj, LidarModel(), DRONE_AZIMUTH,
+                                 VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START, drone=DroneModel())
+        simulate_full_scan(cast_scene(), traj, LidarModel(points_per_second=40000.0),
+                           SWEEP_OMEGA, CAST_START, drone=DroneModel())
+        assert calls == []
 
 
 class TestObserveVds:
