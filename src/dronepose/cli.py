@@ -6,14 +6,9 @@ import argparse
 import os
 import sys
 
-from .pipeline import (
-    ScenarioError,
-    compute_metrics,
-    export,
-    load_scenario,
-    record_from_csv,
-    run,
-)
+from .pipeline import run
+from .report import compute_metrics, export, record_from_csv
+from .scenario import ScenarioError, load_scenario
 
 
 def _parse_overrides(pairs):

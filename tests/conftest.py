@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dronepose.geom import euler_to_rotation
-from dronepose.pipeline import _SimSource, load_scenario
+from dronepose.pipeline import _SimSource
 from dronepose.scan_sim import TrajectorySpec
+from dronepose.scenario import load_scenario
 
 SWEEP_OMEGA = 11.4 * 2.0 * np.pi / 60.0    # rad/s, the scenario default of 11.4 rpm
 

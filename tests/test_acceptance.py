@@ -13,7 +13,9 @@ import pytest
 from dronepose.depth_image import DepthImage, ProjectionParams
 from dronepose.detector import KernelParams, detect
 from dronepose.geom import rotation_angle, rotation_about_axis
-from dronepose.pipeline import compute_metrics, export, parse_scenario, run
+from dronepose.pipeline import run
+from dronepose.report import compute_metrics, export
+from dronepose.scenario import parse_scenario
 from dronepose.tracker import MeanShiftParams, mean_shift_refine
 from dronepose.vp_rot import AmbiguousMatchError, match_vds
 from conftest import manhattan_scenario_text

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dronepose.cli import main
-from dronepose.pipeline import CSV_HEADER
+from dronepose.report import CSV_HEADER
 from conftest import manhattan_scenario_text
 
 EXP1 = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_gentle_drift.scenario"

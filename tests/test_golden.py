@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dronepose.pipeline import compute_metrics, export, load_scenario, run
+from dronepose.pipeline import run
+from dronepose.report import compute_metrics, export
+from dronepose.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -11,17 +11,9 @@ from dronepose.geom import (
     rotation_about_z,
     rotation_angle,
 )
-from dronepose.pipeline import (
-    RunRecord,
-    ScenarioError,
-    compute_metrics,
-    export,
-    load_scenario,
-    parse_scenario,
-    record_from_csv,
-    record_to_csv,
-    run,
-)
+from dronepose.pipeline import run
+from dronepose.report import RunRecord, compute_metrics, export, record_from_csv, record_to_csv
+from dronepose.scenario import ScenarioError, load_scenario, parse_scenario
 from dronepose.scan_sim import ScanFrame
 from dronepose.tracker import TrackState
 from dronepose.vp_rot import MotionAccumulator, accumulate_motion
