@@ -53,14 +53,6 @@ class Detection:
     position: np.ndarray  # vehicle frame, m
 
 
-def inner_size(depth: float, params: KernelParams, proj: ProjectionParams) -> int:
-    """Side of the inner square, pixels: 2*floor((s*f/Z)/2) + 1, clamped odd."""
-    if depth <= 0.0:
-        raise ValueError("depth must be positive")
-    raw = 2.0 * np.floor(params.drone_width * proj.focal / depth / 2.0) + 1.0
-    return int(min(max(raw, 1), params.max_inner_px))    # clamp first: raw may be inf
-
-
 def _window(padded: np.ndarray, v: int, u: int, half: int, pad: int) -> np.ndarray:
     vc, uc = v + pad, u + pad
     return padded[vc - half: vc + half + 1, uc - half: uc + half + 1]
@@ -93,36 +85,8 @@ def _band_mask(inner: int, band: int) -> np.ndarray:
     return mask
 
 
-def inner_dissimilarity(image: DepthImage, center_px, params: KernelParams,
-                        proj: ProjectionParams) -> float:
-    """Sum of |depth - center depth| over the inner square (empties cost full depth)."""
-    u, v = center_px
-    d_c = float(image.data[v, u])
-    if d_c <= 0.0:
-        raise ValueError("not a candidate: empty center pixel")
-    k = inner_size(d_c, params, proj)
-    half = (k - 1) // 2
-    padded = np.pad(image.data, half)
-    return _inner_term(_window(padded, v, u, half, half), d_c, params.inner_skip_empty)
-
-
-def outer_dissimilarity(image: DepthImage, center_px, params: KernelParams,
-                        proj: ProjectionParams) -> float:
-    """Emptiness penalty over the band around the inner square."""
-    u, v = center_px
-    d_c = float(image.data[v, u])
-    if d_c <= 0.0:
-        raise ValueError("not a candidate: empty center pixel")
-    k = inner_size(d_c, params, proj)
-    half = (k - 1) // 2 + params.outer_band_px
-    padded = np.pad(image.data, half)
-    window = _window(padded, v, u, half, half)
-    values = window[_band_mask(k, params.outer_band_px)]
-    return _outer_term(values, d_c, params.depth_epsilon)
-
-
 def _inner_sizes(depths: np.ndarray, params: KernelParams, proj: ProjectionParams) -> np.ndarray:
-    """``inner_size`` of every depth at once, with the same float arithmetic."""
+    """Inner square side per depth, pixels: 2*floor((s*f/Z)/2) + 1, clipped to [1, max]."""
     raw = 2.0 * np.floor(params.drone_width * proj.focal / depths / 2.0) + 1.0
     return np.clip(raw, 1, params.max_inner_px).astype(np.intp)
 

@@ -181,13 +181,3 @@ class Pose:
             raise ValueError("pose rotation is not a proper rotation matrix")
         if self.translation.shape != (3,) or not np.all(np.isfinite(self.translation)):
             raise ValueError("pose translation must be a finite 3-vector")
-
-    def transform(self, points) -> np.ndarray:
-        """Local -> parent frame, for one point or an (n, 3) batch."""
-        p = _vec(points)
-        return p @ self.rotation.T + self.translation
-
-    def inverse_transform(self, points) -> np.ndarray:
-        """Parent frame -> local."""
-        p = _vec(points)
-        return (p - self.translation) @ self.rotation

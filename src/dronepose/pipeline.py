@@ -118,11 +118,7 @@ class _Estimator:
         self.motion = MotionAccumulator(
             window=scenario.motion_window, frame_gap=scenario.motion_frame_gap,
             cone=scenario.motion_cone, min_distance=scenario.motion_min_distance)
-        # World positions of the latest frames: all that accumulate_motion reads.
-        self.world = deque(maxlen=scenario.motion_frame_gap + 1)
-        self.frames = 0
         self.corrected = False
-        self.k_init: int | None = None
 
     def acquire(self, scan) -> bool:
         """Lock on a full sweep; False when the detector finds no candidate."""
@@ -135,7 +131,6 @@ class _Estimator:
     def step(self, inputs: _VibrationInputs) -> None:
         """Track, update the rotation, and try the heading repair for one frame."""
         self.track = track_step(self.track, inputs.scan, self.sc.meanshift)
-        self.world.append(inputs.start.rotation @ self.track.position + inputs.start.translation)
         try:
             match = match_vds(inputs.vehicle_vds, inputs.drone_vds, self.rot.rotation)
             measured = estimate_rotation(inputs.vehicle_vds, match.apply(inputs.drone_vds),
@@ -145,7 +140,8 @@ class _Estimator:
         else:
             self.rot = filter_rotation(self.rot, measured, inputs.t_mid)
         if not self.corrected:
-            emission = accumulate_motion(self.motion, self.world, inputs.ego,
+            world = inputs.start.rotation @ self.track.position + inputs.start.translation
+            emission = accumulate_motion(self.motion, world, inputs.ego,
                                          inputs.vehicle.rotation, self.rot.rotation)
             if emission is not None:
                 try:
@@ -154,8 +150,7 @@ class _Estimator:
                     pass
                 else:
                     self.rot = replace(self.rot, rotation=orthonormalize(fixed))
-                    self.corrected, self.k_init = True, self.frames
-        self.frames += 1
+                    self.corrected = True
 
 
 def run(scenario: Scenario) -> RunRecord:
@@ -190,7 +185,6 @@ def run(scenario: Scenario) -> RunRecord:
         truth_rotations=np.asarray(cols[4]).reshape(-1, 3, 3),
         status=list(cols[5]),
         corrected=np.asarray(cols[6], dtype=bool),
-        k_init=est.k_init,
         acquisition_time=lock_times[0] if lock_times else None,
         reacquisitions=max(len(lock_times) - 1, 0),
         frame_compute_times=np.asarray(cols[7]),

@@ -28,10 +28,15 @@ class RunRecord:
     truth_rotations: np.ndarray
     status: list
     corrected: np.ndarray
-    k_init: int | None = None
     acquisition_time: float | None = None
     reacquisitions: int = 0
     frame_compute_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def k_init(self) -> int | None:
+        """Row of the heading repair: the first corrected row, or None."""
+        hits = np.flatnonzero(self.corrected)
+        return int(hits[0]) if len(hits) else None
 
 
 @dataclass
@@ -99,7 +104,8 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
         resid = record.est_positions[locked] - record.truth_positions[locked]
         pos_rmse = np.sqrt(np.mean(resid ** 2, axis=0))
 
-    start = record.k_init if record.k_init is not None else 0
+    k_init = record.k_init
+    start = k_init if k_init is not None else 0
     rot_rmse = None
     if len(record.times) > start:
         est = _euler_deg(record.est_rotations[start:])
@@ -112,12 +118,12 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
     return MetricsReport(
         pos_rmse=pos_rmse,
         rot_rmse_deg=rot_rmse,
-        rot_whole_run=record.k_init is None,
+        rot_whole_run=k_init is None,
         acquisition_time=record.acquisition_time,
         mean_frame_time=mean_frame,
         n_frames=len(record.times),
         n_locked=n_locked,
-        k_init=record.k_init,
+        k_init=k_init,
         reacquisitions=record.reacquisitions,
     )
 
@@ -168,8 +174,6 @@ def record_from_csv(path) -> RunRecord:
         truth_r.append(euler_to_rotation(*np.deg2rad(nums[10:13])))
         status.append(cells[13])
         flags.append(cells[14] == "1")
-    flags = np.asarray(flags, dtype=bool)
-    k_init = int(np.argmax(flags)) if flags.any() else None
     n = len(times)
     return RunRecord(
         times=np.asarray(times),
@@ -178,8 +182,7 @@ def record_from_csv(path) -> RunRecord:
         est_rotations=np.asarray(est_r).reshape(n, 3, 3),
         truth_rotations=np.asarray(truth_r).reshape(n, 3, 3),
         status=status,
-        corrected=flags,
-        k_init=k_init,
+        corrected=np.asarray(flags, dtype=bool),
     )
 
 

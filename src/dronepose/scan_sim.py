@@ -218,7 +218,7 @@ class Scene:
     scene rebuilds identically; rays starting inside a primitive yield
     no return from it.
 
-    Each box and each blob also gets an enclosing sphere, inflated by
+    Each sphere, box and blob also gets an enclosing sphere, inflated by
     ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only
     on the rays that can meet its sphere (bounding-volume culling, Kay &
     Kajiya, SIGGRAPH 1986). Every (ray, primitive) distance is computed
@@ -229,45 +229,38 @@ class Scene:
     def __init__(self, primitives, seed: int = 0):
         self.primitives = list(primitives)
         centers, radii = [], []
-        lone = []                 # indices of standalone spheres in ``centers``
         self.groups = []          # (exact test, arg, arg) for each bounded primitive
         bounds = []               # (center, radius) of the sphere enclosing each group
         self.rects = []
         for idx, prim in enumerate(self.primitives):
-            if prim.kind == "sphere":
-                lone.append(len(centers))
-                centers.append(prim.center)
-                radii.append(prim.dimensions[0] / 2.0)
-            elif prim.kind == "box":
+            if prim.kind == "box":
                 half = prim.dimensions / 2.0
                 self.groups.append((_ray_box, prim.center - half, prim.center + half))
                 bounds.append((prim.center, np.linalg.norm(half)))
             elif prim.kind == "ground_plane":
                 self.rects.append((prim.center[2], prim.center[0], prim.center[1],
                                    prim.dimensions[0] / 2.0, prim.dimensions[1] / 2.0))
-            elif prim.kind == "sparse_blob":
-                rng = np.random.default_rng([int(seed), idx])
-                raw = rng.normal(size=(prim.count, 3))
-                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-                dist = prim.scatter_radius * np.cbrt(rng.uniform(size=prim.count))
-                pts = prim.center + raw * dist[:, None]
+            else:                   # a sphere is a blob of one, at its center
                 r = prim.dimensions[0] / 2.0
-                self.groups.append((_ray_spheres, pts, np.full(prim.count, r)))
-                bounds.append((prim.center, prim.scatter_radius + r))
+                pts, reach = prim.center[None], 0.0
+                if prim.kind == "sparse_blob":
+                    rng = np.random.default_rng([int(seed), idx])
+                    raw = rng.normal(size=(prim.count, 3))
+                    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+                    dist = prim.scatter_radius * np.cbrt(rng.uniform(size=prim.count))
+                    pts, reach = prim.center + raw * dist[:, None], prim.scatter_radius
+                self.groups.append((_ray_spheres, pts, np.full(len(pts), r)))
+                bounds.append((prim.center, reach + r))
                 centers.extend(pts)
-                radii.extend([r] * prim.count)
+                radii.extend([r] * len(pts))
         self.sphere_centers = np.asarray(centers, dtype=float).reshape(-1, 3)
         self.sphere_radii = np.asarray(radii, dtype=float)
-        self.lone_centers = self.sphere_centers[lone]
-        self.lone_radii = self.sphere_radii[lone]
         self.bound_centers = np.array([c for c, _ in bounds], dtype=float).reshape(-1, 3)
         self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
     def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0):
         """Smallest positive hit distance per ray (inf = no hit)."""
         t = np.full(len(origins), np.inf)
-        if len(self.lone_centers):
-            t = np.minimum(t, _ray_spheres(origins, dirs, self.lone_centers, self.lone_radii))
         if self.groups:
             cand = _may_hit(origins, dirs, self.bound_centers[:, None], self.bound_radii[:, None])
             for (exact, a, b), rays in zip(self.groups, cand):

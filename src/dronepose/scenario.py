@@ -63,9 +63,9 @@ _SCHEMA = {
     "kernel.max_inner": ("int", "101", None),
     "kernel.skip_empty_inner": ("bool", "false", None),
     "meanshift.radius": ("float", "1.0", None),
-    "meanshift.iterations": ("int", "10", None),
+    "meanshift.iterations": ("int", "10", "<= 1000"),
     "meanshift.bandwidth": ("float", "1.0", None),
-    "meanshift.track_iterations": ("int", "3", None),
+    "meanshift.track_iterations": ("int", "3", "<= 1000"),
     "meanshift.miss_limit": ("int", "5", None),
     "lidar.beam_count": ("int", "16", None),
     "lidar.elevation_span_deg": ("float", "30.0", None),
@@ -86,6 +86,8 @@ _SCHEMA = {
     "motion.cone_deg": ("float", "30.0", None),
     "motion.min_distance": ("float", "1.0", "> 0"),
 }
+
+MAX_CAST_POINTS = 1e7      # rays one sweep or vibration frame may cast
 
 _SCENE_FIELDS = {
     "kind": ("str", None, None),
@@ -293,13 +295,17 @@ def _build_scenario(raw: dict) -> Scenario:
         vd_noise=np.deg2rad(values["observation.vd_noise_deg"]),
         ego_noise=np.deg2rad(values["observation.ego_noise_deg"]),
         scramble=values["observation.scramble"]))
-    # A sweep (pi / omega) or frame shorter than one firing casts nothing and can stop the clock.
+    # A sweep (pi / omega) or frame shorter than one firing casts nothing and can stop the
+    # clock; one holding more than MAX_CAST_POINTS rays runs too long and too large.
     period = values["motor.vibration_period"]
     for key, what, seconds in (("motor.sweep_rpm", "sweep", 30.0 / values["motor.sweep_rpm"]),
                                ("motor.vibration_period", "frame", period)):
         if seconds < lidar.firing_interval:
             raise ScenarioError(f"{key}: a {what} of {seconds!r} s is shorter than one lidar "
                                 f"firing ({lidar.firing_interval!r} s)")
+        if seconds * lidar.points_per_second > MAX_CAST_POINTS:
+            raise ScenarioError(f"lidar.points_per_second: a {what} of {seconds!r} s ({key}) "
+                                f"would cast more than {MAX_CAST_POINTS:.0f} points")
 
     trajectories = Trajectories(
         drone=_waypoints_to_trajectory(drone_wp, values["duration"], "drone.waypoint"),

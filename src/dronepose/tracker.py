@@ -46,7 +46,11 @@ class TrackState:
     position: np.ndarray                  # current estimate, vehicle frame, m
     status: str = "locked"                # 'locked' | 'lost'
     misses: int = 0
-    pointing_azimuth: float = 0.0         # where the single-axis mount aims next
+
+    @property
+    def pointing_azimuth(self) -> float:
+        """Where the single-axis mount aims next: the estimate's azimuth."""
+        return float(np.arctan2(self.position[1], self.position[0]))
 
 
 def mean_shift_refine(points, start, params: MeanShiftParams,
@@ -73,10 +77,6 @@ def mean_shift_refine(points, start, params: MeanShiftParams,
     return estimate
 
 
-def _azimuth(position) -> float:
-    return float(np.arctan2(position[1], position[0]))
-
-
 def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
     """Relocalize against one vibration frame and repoint the motor.
 
@@ -91,7 +91,7 @@ def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
         misses = state.misses + 1
         status = "lost" if misses >= params.miss_limit else state.status
         return replace(state, misses=misses, status=status)
-    return TrackState(position=refined, pointing_azimuth=_azimuth(refined))
+    return TrackState(position=refined)
 
 
 def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
@@ -103,5 +103,4 @@ def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
     """
     image = project(frame.points, proj)
     detection = detect(image, kernel, proj)
-    position = mean_shift_refine(frame.points, detection.position, params)
-    return TrackState(position=position, pointing_azimuth=_azimuth(position))
+    return TrackState(position=mean_shift_refine(frame.points, detection.position, params))

@@ -17,7 +17,7 @@ bounded angular velocity so axes cannot swap frame-to-frame.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,23 +108,19 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     return MatchResult(tuple(perm), tuple(signs), residuals)
 
 
-def estimate_rotation(vehicle_vds, drone_vds, residuals=None) -> np.ndarray:
+def estimate_rotation(vehicle_vds, drone_vds, residuals) -> np.ndarray:
     """Rotation mapping drone-frame directions into the vehicle frame.
 
     ``drone_vds`` must already be in matched column order with signs
     applied. Only the two most trustworthy pairs are used (smallest
-    matching residuals; columns 0 and 1 when no residuals are given);
-    the third direction is rebuilt by cross product. The raw product
-    of the two bases is projected to the nearest proper rotation since
-    noisy directions make it slightly non-orthogonal.
+    matching residuals, earlier columns first on ties); the third
+    direction is rebuilt by cross product. The raw product of the two
+    bases is projected to the nearest proper rotation since noisy
+    directions make it slightly non-orthogonal.
     """
     vg = _vec(vehicle_vds)
     vd = _vec(drone_vds)
-    if residuals is not None:
-        order = np.argsort(residuals, kind="stable")
-        a, b = int(order[0]), int(order[1])
-    else:
-        a, b = 0, 1
+    a, b = np.argsort(residuals, kind="stable")[:2]
     vg2 = complete_vd(vg[:, a], vg[:, b])
     vd2 = complete_vd(vd[:, a], vd[:, b])
     try:
@@ -160,8 +156,9 @@ class MotionAccumulator:
     """Window of per-frame drone motion vectors with a consistency gate.
 
     Each frame's motion is the tracked world position minus the one
-    ``frame_gap`` frames earlier; vectors shorter than ``min_distance``
-    break the streak. When ``window`` consecutive vectors agree within
+    ``frame_gap`` frames earlier, so only the last ``frame_gap + 1``
+    positions are kept; vectors shorter than ``min_distance`` break the
+    streak. When ``window`` consecutive vectors agree within
     ``cone`` pairwise, their sum (and the matching sum of self-observed
     unit directions) is emitted for the yaw correction.
     """
@@ -170,50 +167,39 @@ class MotionAccumulator:
     frame_gap: int = 14
     cone: float = np.deg2rad(30.0)
     min_distance: float = 1.0
-    _frames: deque = field(default_factory=deque, repr=False)
 
-    def frame_motion(self, track_world) -> np.ndarray | None:
-        """Gap displacement ending at the latest tracked position, if long enough."""
-        k = len(track_world) - 1
-        if k < self.frame_gap:
-            return None
-        motion = _vec(track_world[k]) - _vec(track_world[k - self.frame_gap])
-        if np.linalg.norm(motion) < self.min_distance:
-            return None
-        return motion
-
-    def reset(self):
-        self._frames.clear()
+    def __post_init__(self):
+        self._positions = deque(maxlen=self.frame_gap + 1)   # latest world positions
+        self._pairs = deque(maxlen=self.window)              # (motion, self motion)
 
 
-def accumulate_motion(acc: MotionAccumulator, track_world, ego_direction,
+def accumulate_motion(acc: MotionAccumulator, track_position, ego_direction,
                       vehicle_rotation, current_rotation):
     """Feed one frame; returns (observed_sum, self_sum) when the window agrees.
 
-    ``track_world`` holds the track's per-frame world positions, oldest
-    first; only the last ``frame_gap + 1`` are read, so a bounded deque
-    gives the same emissions as the full history. ``ego_direction`` is
-    the drone's own motion direction over the frame gap, in its camera
-    frame (None when unavailable). No emission is a value, not an error.
+    ``track_position`` is this frame's tracked world position.
+    ``ego_direction`` is the drone's own motion direction over the frame
+    gap, in its camera frame (None when unavailable). No emission is a
+    value, not an error.
     """
-    motion = acc.frame_motion(track_world)
-    if motion is None or ego_direction is None:
-        acc.reset()
+    acc._positions.append(_vec(track_position))
+    motion = acc._positions[-1] - acc._positions[0]
+    if (len(acc._positions) <= acc.frame_gap or ego_direction is None
+            or np.linalg.norm(motion) < acc.min_distance):
+        acc._pairs.clear()
         return None
     self_motion = _vec(vehicle_rotation) @ _vec(current_rotation) @ _vec(ego_direction)
-    acc._frames.append((motion, self_motion))
-    while len(acc._frames) > acc.window:
-        acc._frames.popleft()
-    if len(acc._frames) < acc.window:
+    acc._pairs.append((motion, self_motion))
+    if len(acc._pairs) < acc.window:
         return None
-    vecs = [f[0] for f in acc._frames]
+    vecs = [f[0] for f in acc._pairs]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if angle_between(vecs[i], vecs[j]) > acc.cone:
                 return None
-    observed = np.sum([f[0] for f in acc._frames], axis=0)
-    self_observed = np.sum([f[1] for f in acc._frames], axis=0)
-    acc.reset()
+    observed = np.sum(vecs, axis=0)
+    self_observed = np.sum([f[1] for f in acc._pairs], axis=0)
+    acc._pairs.clear()
     return observed, self_observed
 
 

@@ -8,11 +8,8 @@ from dronepose.detector import (
     _inner_sizes,
     _lower_bounds,
     detect,
-    inner_dissimilarity,
-    inner_size,
-    outer_dissimilarity,
 )
-from oracles import oracle_detect
+from oracles import oracle_detect, oracle_inner_size, oracle_scores
 
 
 @pytest.fixture
@@ -39,6 +36,19 @@ def sparse_image(n, cells):
     return DepthImage(data)
 
 
+def inner_size(depth, params, proj):
+    return int(_inner_sizes(np.array([depth]), params, proj)[0])
+
+
+def inner_term(image, u, v, params, proj):
+    return oracle_scores(image.data, v, u, params, proj.focal)[1]
+
+
+def outer_term(image, u, v, params, proj):
+    e, e_inner = oracle_scores(image.data, v, u, params, proj.focal)
+    return e - e_inner
+
+
 class TestInnerSize:
     def test_reference_values(self, proj512):
         params = KernelParams(drone_width=0.5)
@@ -51,7 +61,7 @@ class TestInnerSize:
 
     def test_odd_and_monotone(self, proj512):
         params = KernelParams(drone_width=0.5)
-        sizes = [inner_size(z, params, proj512) for z in np.linspace(0.2, 200.0, 500)]
+        sizes = _inner_sizes(np.linspace(0.2, 200.0, 500), params, proj512).tolist()
         assert all(k % 2 == 1 for k in sizes)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
@@ -59,7 +69,6 @@ class TestInnerSize:
         params = KernelParams(drone_width=0.5, max_inner_px=5)
         assert inner_size(0.01, params, proj512) == 5
         with np.errstate(over="ignore"):     # w*f/d overflows to inf
-            assert inner_size(1e-310, params, proj512) == 5
             assert _inner_sizes(np.array([1e-310]), params, proj512).tolist() == [5]
 
     @pytest.mark.parametrize("max_inner", [5, 101])
@@ -74,51 +83,51 @@ class TestInnerSize:
         hits = wf / depths / 2.0
         assert np.count_nonzero(hits == np.floor(hits)) > 50
         assert np.count_nonzero(hits != np.floor(hits)) > 300
-        expected = [inner_size(float(d), params, proj512) for d in depths]
+        expected = [oracle_inner_size(float(d), params.drone_width, proj512.focal, max_inner)
+                    for d in depths]
         assert _inner_sizes(depths, params, proj512).tolist() == expected
         assert max(expected) == max_inner
 
 
 class TestInnerDissimilarity:
+    """The kernel's inner term, as the oracle that ``detect`` is checked against computes it."""
+
     def test_uniform_patch_is_zero(self, proj64, kernel64):
         img = sparse_image(64, {(u, v): 10.0 for u in range(30, 35) for v in range(30, 35)})
-        assert inner_dissimilarity(img, (32, 32), kernel64, proj64) == 0.0
+        assert inner_term(img, 32, 32, kernel64, proj64) == 0.0
 
     def test_hand_sum(self, proj64, kernel64):
         # inner size 3 at depth 10: eight neighbors, seven at 10 and one at 12
         cells = {(u, v): 10.0 for u in range(31, 34) for v in range(31, 34)}
         cells[(33, 33)] = 12.0
         img = sparse_image(64, cells)
-        assert inner_dissimilarity(img, (32, 32), kernel64, proj64) == pytest.approx(2.0)
+        assert inner_term(img, 32, 32, kernel64, proj64) == pytest.approx(2.0)
 
     def test_isolated_point_pays_empty_penalty(self, proj64, kernel64):
         img = sparse_image(64, {(32, 32): 10.0})
-        assert inner_dissimilarity(img, (32, 32), kernel64, proj64) == pytest.approx(80.0)
+        assert inner_term(img, 32, 32, kernel64, proj64) == pytest.approx(80.0)
 
     def test_skip_empty_variant(self, proj64):
         lenient = KernelParams(drone_width=1.0, outer_band_px=3, depth_epsilon=0.1,
                                inner_skip_empty=True)
         img = sparse_image(64, {(32, 32): 10.0})
-        assert inner_dissimilarity(img, (32, 32), lenient, proj64) == 0.0
-
-    def test_empty_center_rejected(self, proj64, kernel64):
-        img = sparse_image(64, {(32, 32): 10.0})
-        with pytest.raises(ValueError, match="not a candidate"):
-            inner_dissimilarity(img, (10, 10), kernel64, proj64)
+        assert inner_term(img, 32, 32, lenient, proj64) == 0.0
 
 
 class TestOuterDissimilarity:
+    """The kernel's band term, as the oracle computes it."""
+
     def test_empty_band_is_zero(self, proj64, kernel64):
         img = sparse_image(64, {(32, 32): 10.0})
-        assert outer_dissimilarity(img, (32, 32), kernel64, proj64) == 0.0
+        assert outer_term(img, 32, 32, kernel64, proj64) == 0.0
 
     def test_similar_depth_pays_epsilon_penalty(self, proj64, kernel64):
         img = sparse_image(64, {(32, 32): 10.0, (32 + 3, 32): 10.0})
-        assert outer_dissimilarity(img, (32, 32), kernel64, proj64) == pytest.approx(10.0)
+        assert outer_term(img, 32, 32, kernel64, proj64) == pytest.approx(10.0)
 
     def test_distant_depth_pays_inverse_gap(self, proj64, kernel64):
         img = sparse_image(64, {(32, 32): 10.0, (32 + 3, 32): 12.0})
-        assert outer_dissimilarity(img, (32, 32), kernel64, proj64) == pytest.approx(0.5)
+        assert outer_term(img, 32, 32, kernel64, proj64) == pytest.approx(0.5)
 
 
 def paint_square(cells, cu, cv, half, depth):
@@ -236,21 +245,8 @@ class TestDetect:
         data[vs, us] = rng.uniform(2.0, 40.0, 50)
         img = DepthImage(data)
         for u, v in zip(us, vs):
-            ei = inner_dissimilarity(img, (int(u), int(v)), kernel64, proj64)
-            eo = outer_dissimilarity(img, (int(u), int(v)), kernel64, proj64)
-            assert ei >= 0.0 and eo >= 0.0
-
-
-def exhaustive_argmin(image, params, proj):
-    """(pixel, e) of the argmin over every candidate, from the public scores."""
-    best = None
-    for v, u in zip(*np.nonzero(image.data)):
-        ei = inner_dissimilarity(image, (int(u), int(v)), params, proj)
-        e = ei + outer_dissimilarity(image, (int(u), int(v)), params, proj)
-        if best is None or (e, ei, v, u) < best:
-            best = (e, ei, v, u)
-    e, _, v, u = best
-    return (int(u), int(v)), e
+            assert inner_term(img, u, v, kernel64, proj64) >= 0.0
+            assert outer_term(img, u, v, kernel64, proj64) >= 0.0
 
 
 def detector_bounds(image, params, proj):
@@ -275,9 +271,7 @@ class TestLowerBounds:
         vs, us, bounds = detector_bounds(image, params, proj)
         assert np.all(bounds >= 0.0)
         for v, u, b in zip(vs, us, bounds):
-            exact = (inner_dissimilarity(image, (int(u), int(v)), params, proj)
-                     + outer_dissimilarity(image, (int(u), int(v)), params, proj))
-            assert b <= exact, (u, v)
+            assert b <= oracle_scores(image.data, v, u, params, proj.focal)[0], (u, v)
 
     @pytest.mark.parametrize("lenient", [False, True])
     def test_random_images(self, proj64, rng, lenient):
@@ -326,7 +320,7 @@ def single(rng, n=64):
 
 
 class TestDetectPrune:
-    """``detect`` against the exhaustive argmin on inputs that stress the prune."""
+    """``detect`` against the oracle's exhaustive argmin on inputs that stress the prune."""
 
     CASES = {
         # the winner ties its mirror twin, so the row-major tie-break decides
@@ -350,7 +344,7 @@ class TestDetectPrune:
         for _ in range(4):
             image = DepthImage(make(rng))
             det = detect(image, params, proj64)
-            pixel, e = exhaustive_argmin(image, params, proj64)
+            pixel, e = oracle_detect(image, params, proj64)
             assert det.pixel == pixel
             assert det.dissimilarity == e
             assert det.depth == image.data[pixel[1], pixel[0]]

@@ -16,7 +16,7 @@ from dronepose.report import RunRecord, compute_metrics, export, record_from_csv
 from dronepose.scenario import ScenarioError, load_scenario, parse_scenario
 from dronepose.scan_sim import ScanFrame
 from dronepose.tracker import TrackState
-from dronepose.vp_rot import MotionAccumulator, accumulate_motion
+from dronepose.vp_rot import accumulate_motion
 from conftest import manhattan_scenario_text
 
 EXP1 = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_gentle_drift.scenario"
@@ -124,7 +124,6 @@ def synthetic_record(n=10, bias=(0.0, 0.0, 0.0), k_init=None):
         truth_rotations=rots.copy(),
         status=["locked"] * n,
         corrected=np.arange(n) >= (k_init if k_init is not None else n + 1),
-        k_init=k_init,
         acquisition_time=2.6,
         frame_compute_times=np.full(n, 0.001),
     )
@@ -168,6 +167,19 @@ class TestMetrics:
         report = compute_metrics(rec)
         assert not report.rot_whole_run
         assert np.allclose(report.rot_rmse_deg, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_k_init_is_absent_without_a_corrected_row(self, n):
+        rec = synthetic_record(n=n)
+        assert rec.k_init is None
+        report = compute_metrics(rec)
+        assert report.k_init is None and report.rot_whole_run
+
+    def test_k_init_is_the_first_corrected_row(self):
+        rec = synthetic_record(n=10, k_init=4)
+        assert rec.k_init == 4
+        rec.corrected[:] = True
+        assert rec.k_init == 0
 
     def test_lost_frames_excluded_from_position(self):
         rec = synthetic_record(n=10, bias=(0.1, 0.0, 0.0))
@@ -419,31 +431,30 @@ class TestEstimatorStep:
         assert record.reacquisitions == 1
         assert len(record.frame_compute_times) == 2 * limit
 
-    def test_bounded_history_gives_the_full_list_emissions(self, monkeypatch):
-        calls = []
+    def test_estimator_feeds_each_frame_world_position(self, monkeypatch):
+        positions = []
 
-        def recording(acc, track_world, ego, vehicle_rotation, current_rotation):
-            out = accumulate_motion(acc, track_world, ego, vehicle_rotation, current_rotation)
-            calls.append((track_world[-1].copy(), ego, current_rotation, out))
-            return out
+        def recording(acc, track_position, ego, vehicle_rotation, current_rotation):
+            positions.append(track_position)
+            return accumulate_motion(acc, track_position, ego, vehicle_rotation,
+                                     current_rotation)
 
         monkeypatch.setattr(pipeline, "accumulate_motion", recording)
         est = estimator("rotation.initial_rpy_deg = 0 0 90\n")
+        start = Pose(rotation_about_z(0.3), np.array([5.0, -2.0, 1.5]))
+        flags = []
         for k in range(30):
             # 1 m/s along +y in the world: 1.68 m per 14-frame gap
-            center = (2.0, 1.0 + 0.12 * k, 10.0)
+            center = np.array([2.0, 1.0 + 0.12 * k, 10.0])
             ego = None if k == 17 else np.array([0.0, 1.0, 0.0])
-            est.step(cluster_inputs(k, center, ego=ego))
-            assert len(est.world) <= est.motion.frame_gap + 1
-        assert est.corrected and est.k_init == len(calls) - 1
-
-        reference = MotionAccumulator(window=7, frame_gap=14)
-        full = []
-        for position, ego, current, out in calls:
-            full.append(position)
-            expected = accumulate_motion(reference, full, ego, np.eye(3), current)
-            if out is None:
-                assert expected is None
-            else:
-                assert all(np.array_equal(a, b) for a, b in zip(out, expected))
-        assert calls[-1][3] is not None
+            inputs = cluster_inputs(k, start.rotation.T @ center, ego=ego, spread=0.0)
+            inputs.start = start
+            est.step(inputs)
+            flags.append(est.corrected)
+            assert len(est.motion._positions) <= est.motion.frame_gap + 1
+        # window 7 after the gap of 14: frames 14-16 break at the missing ego, 18-24 fill it
+        assert flags.index(True) == 24
+        assert len(positions) == 25
+        for k, position in enumerate(positions):
+            assert np.allclose(position, (2.0, 1.0 + 0.12 * k, 10.0) + start.translation,
+                               atol=1e-12)

@@ -204,6 +204,22 @@ class TestBroadPhase:
         assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, 0.25))
         assert np.all(np.isfinite(got))
 
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    def test_standalone_spheres_only(self, shift):
+        # each sphere is its own group: a bound of its own radius, padded
+        rng = np.random.default_rng(20863)
+        hits = 0
+        for _ in range(10):
+            scene = Scene([ScenePrimitive("sphere", shift + rng.uniform(-12, 12, 3),
+                                          (rng.uniform(0.05, 3),) * 3)
+                           for _ in range(rng.integers(1, 6))])
+            assert len(scene.groups) == len(scene.primitives) == len(scene.sphere_centers)
+            origins, dirs = edge_case_rays(rng, scene, shift)
+            got = scene.nearest_hit(origins, dirs)
+            assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
+            hits += np.count_nonzero(np.isfinite(got))
+        assert hits > 1000
+
     def test_single_ray(self):
         rng = np.random.default_rng(4)
         scene = random_scene(rng)
@@ -278,7 +294,7 @@ class TestFullScan:
                                    SWEEP_OMEGA, 0.0)
         assert len(frame) > 50
         align = vehicle.pose_at(0.0)
-        world_pts = align.transform(frame.points)
+        world_pts = frame.points @ align.rotation.T + align.translation
         radii = np.linalg.norm(world_pts - center, axis=1)
         assert np.max(np.abs(radii - 3.0)) < 1e-9
 

@@ -23,6 +23,7 @@ from dronepose.scenario import (
     _SCENE_FIELDS,
     _SCHEMA,
     _WAYPOINT_FIELDS,
+    MAX_CAST_POINTS,
     ScenarioError,
     parse_scenario,
 )
@@ -53,6 +54,8 @@ BASE = {
     "vehicle.waypoint.1.position": "0.5 0 1.5",
 }
 FIRING_S = 16 / 40000.0     # default beam count over BASE's points per second
+SWEEP_S = 30.0 / 60         # BASE's sweep, its longest cast
+CAP_RATE = MAX_CAST_POINTS / SWEEP_S     # points per second that fill BASE's sweep to the cap
 
 
 def text_of(entries: dict) -> str:
@@ -111,12 +114,27 @@ def test_sweeps_and_frames_hold_one_firing(key, at, past):
         parse_scenario(text_of({**BASE, key: repr(past)}))
 
 
+@pytest.mark.parametrize("entries", [{}, {"motor.vibration_period": "1.0"}],
+                         ids=["sweep", "frame"])
+def test_one_sweep_or_frame_casts_at_most_the_cap(entries):
+    # the longer of the sweep and the frame sets the point rate's limit
+    seconds = max(SWEEP_S, value_of({**BASE, **entries}, "motor.vibration_period"))
+    at = MAX_CAST_POINTS / seconds
+    parse_scenario(text_of({**BASE, **entries, "lidar.points_per_second": repr(at)}))
+    with pytest.raises(ScenarioError, match=r"^lidar\.points_per_second: a .* more than "):
+        parse_scenario(text_of({**BASE, **entries,
+                                "lidar.points_per_second": repr(at * (1 + 1e-9))}))
+
+
 @pytest.mark.parametrize("override", [
     "rotation.max_rate_deg=-5",          # used to step the filter away from each measurement
     "projection.resolution=2000000",     # used to end in a MemoryError
     "kernel.outer_band=100000000",       # used to never finish
     "motor.vibration_period=1e-300",     # used to fail: filter update time must increase
     "motor.sweep_rpm=1e300",             # used to never finish: the clock did not advance
+    "lidar.points_per_second=1e12",      # used to never finish: every chunk's points were kept
+    "meanshift.iterations=1000000000",   # used to never finish
+    "meanshift.track_iterations=1000000000",
 ])
 def test_misbehaving_override_exits_one(override, tmp_path):
     result = subprocess.run(
@@ -161,6 +179,8 @@ def value_mutations(key: str, kind: str, rule, rng) -> list:
         texts += [repr(FIRING_S), repr(FIRING_S * (1 - 1e-9)), "1e-300"]
     if key == "motor.sweep_rpm":
         texts += [repr(30.0 / FIRING_S), repr(30.0 / FIRING_S * (1 + 1e-9)), "1e300"]
+    if key == "lidar.points_per_second":    # at the cap in mutation_pool, with a short run
+        texts += [repr(CAP_RATE * (1 + 1e-9)), "1e12"]
     return texts
 
 
@@ -171,6 +191,10 @@ def mutation_pool(rng) -> list:
 
     pool = [set_to(key, text) for key, (kind, _, rule) in _SCHEMA.items()
             for text in value_mutations(key, kind, rule, rng)]
+    # A sweep at the cast cap takes seconds: the run ends after it, with no frame.
+    pool.append((f"lidar.points_per_second = {CAP_RATE!r} for one sweep",
+                 lambda e: e.update({"lidar.points_per_second": repr(CAP_RATE),
+                                     "duration": repr(SWEEP_S + 0.05)})))
     for group, fields in FIELDS.items():
         for name, (kind, _, _) in fields.items():
             key = f"{group}.{rng.integers(2)}.{name}"

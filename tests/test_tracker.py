@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dronepose import pipeline
 from dronepose.depth_image import ProjectionParams
 from dronepose.detector import KernelParams, NoCandidatesError
+from dronepose.geom import Pose
 from dronepose.scan_sim import (
     DroneModel,
     LidarModel,
@@ -11,6 +13,7 @@ from dronepose.scan_sim import (
     Trajectories,
     simulate_full_scan,
 )
+from dronepose.scenario import parse_scenario
 from dronepose.tracker import (
     MeanShiftParams,
     TargetLostError,
@@ -105,7 +108,7 @@ class TestMeanShiftRefine:
 class TestTrackStep:
     def test_static_target_has_negligible_drift(self, params):
         c = (3.0, 1.0, 12.0)
-        state = TrackState(position=np.asarray(c), pointing_azimuth=0.0)
+        state = TrackState(position=np.asarray(c))
         prev = state.position
         for k in range(20):
             state = track_step(state, cluster_frame(c, 0.12 * k, seed=5), params)
@@ -136,13 +139,39 @@ class TestTrackStep:
         assert state.status == "lost"
         assert state.misses == params.miss_limit
 
-    def test_pointing_azimuth_follows_target(self, params):
-        state = TrackState(position=np.array([1.0, 0.0, 10.0]))
-        state = track_step(state, cluster_frame((0.0, 5.0, 10.0), 0.0, spread=0.4), params)
-        # support empty at (1,0,10) -> miss; now feed reachable cluster
-        state = track_step(state, cluster_frame((1.0, 0.8, 10.0), 0.12, spread=0.2), params)
-        assert state.pointing_azimuth == pytest.approx(
-            np.arctan2(state.position[1], state.position[0]))
+    def test_pointing_azimuth_follows_target(self, monkeypatch):
+        # run asks the source for each frame at the track's azimuth; a miss keeps it
+        path = [np.array([3.0, 0.4 * k, 10.0]) for k in range(8)]
+        path[4] = path[4] + 30.0            # nothing near the track: a miss
+        asked = []
+        identity = Pose(np.eye(3), np.zeros(3))
+
+        class Source:
+            def __init__(self, scenario):
+                self.t = 0.0
+
+            def sweep(self):
+                return None if asked else cluster_frame(path[0], 0.0)
+
+            def vibration(self, azimuth, want_ego):
+                k = len(asked)
+                if k == len(path):
+                    return None
+                asked.append(azimuth)
+                return pipeline._VibrationInputs(
+                    cluster_frame(path[k], 0.12 * k, seed=k), 0.12 * k + 0.06, identity,
+                    identity, np.eye(3), np.eye(3), None, path[k], np.eye(3))
+
+        monkeypatch.setattr(pipeline, "_SimSource", Source)
+        monkeypatch.setattr(pipeline, "acquire", lambda scan, *params: TrackState(path[0]))
+        record = pipeline.run(parse_scenario(
+            "schema_version = 1\nseed = 9\n"
+            "drone.waypoint.0.time = 0\ndrone.waypoint.0.position = 0 0 20\n"))
+        assert record.status == ["locked"] * len(path)
+        estimates = [path[0], *record.est_positions[:-1]]
+        assert asked == [float(np.arctan2(p[1], p[0])) for p in estimates]
+        assert np.array_equal(record.est_positions[4], record.est_positions[3])
+        assert asked[5] == asked[4] and len(set(asked)) == len(path) - 1
 
 
 class TestAcquire:

@@ -120,13 +120,13 @@ class TestMatchVds:
 
 class TestEstimateRotation:
     def test_identity(self):
-        assert np.allclose(estimate_rotation(np.eye(3), np.eye(3)), np.eye(3))
+        assert np.allclose(estimate_rotation(np.eye(3), np.eye(3), np.zeros(3)), np.eye(3))
 
     def test_recovers_random_rotation(self, rng):
         for _ in range(100):
             rot = random_rotation(rng)
             vd = rot.T @ np.eye(3)
-            est = estimate_rotation(np.eye(3), vd)
+            est = estimate_rotation(np.eye(3), vd, np.zeros(3))
             assert rotation_angle(est.T @ rot) < 1e-9
 
     def test_oblique_vds_still_exact(self, rng):
@@ -137,7 +137,7 @@ class TestEstimateRotation:
             np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0]),
         ])
         rot = random_rotation(rng)
-        est = estimate_rotation(axes, rot.T @ axes)
+        est = estimate_rotation(axes, rot.T @ axes, np.zeros(3))
         assert rotation_angle(est.T @ rot) < 1e-9
 
     def test_output_is_proper_rotation_under_noise(self, rng):
@@ -145,7 +145,7 @@ class TestEstimateRotation:
             rot = random_rotation(rng)
             vd = rot.T @ np.eye(3) + rng.normal(scale=0.05, size=(3, 3))
             vd /= np.linalg.norm(vd, axis=0)
-            est = estimate_rotation(np.eye(3), vd)
+            est = estimate_rotation(np.eye(3), vd, np.zeros(3))
             assert is_rotation(est)
 
     def test_monte_carlo_median_error_below_2deg(self):
@@ -219,13 +219,8 @@ class TestFilterRotation:
 class TestMotionAccumulator:
     def _run(self, path, acc=None, ego=(1.0, 0.0, 0.0)):
         acc = acc or MotionAccumulator()
-        emissions = []
-        hist = []
-        for pos in path:
-            hist.append(np.asarray(pos, dtype=float))
-            out = accumulate_motion(acc, hist, np.asarray(ego), np.eye(3), np.eye(3))
-            emissions.append(out)
-        return emissions
+        return [accumulate_motion(acc, np.asarray(pos, dtype=float), np.asarray(ego),
+                                  np.eye(3), np.eye(3)) for pos in path]
 
     def test_straight_line_emits_after_exactly_seven_qualifying_frames(self):
         path = [(0.12 * k, 0.0, 15.0) for k in range(60)]   # 1 m/s => 1.68 m per gap
@@ -258,12 +253,11 @@ class TestMotionAccumulator:
         # dropout at frame 18 clears the 4-frame streak; the window must
         # refill, moving the first emission from 20 to 25
         acc = MotionAccumulator()
-        hist = []
         emitted_at = []
         for k in range(30):
-            hist.append(np.array([0.12 * k, 0.0, 15.0]))
             ego = None if k == 18 else np.array([1.0, 0.0, 0.0])
-            out = accumulate_motion(acc, hist, ego, np.eye(3), np.eye(3))
+            out = accumulate_motion(acc, np.array([0.12 * k, 0.0, 15.0]), ego,
+                                    np.eye(3), np.eye(3))
             if out is not None:
                 emitted_at.append(k)
         assert emitted_at[0] == 25
@@ -342,7 +336,7 @@ def synthetic_rotation_run(offset_deg, vd_noise_deg, ego_noise_deg, seed, frames
                 ego = observe_ego_direction(
                     Pose(r_d, hist[len(hist) - 1 - acc.frame_gap]),
                     Pose(r_d, hist[-1]), np.deg2rad(ego_noise_deg), rng)
-            emission = accumulate_motion(acc, hist, ego, r_g, state.rotation)
+            emission = accumulate_motion(acc, hist[-1], ego, r_g, state.rotation)
             if emission is not None:
                 fixed = correct_rotation(state.rotation, r_g, emission[0], emission[1])
                 state = RotationFilterState(rotation=orthonormalize(fixed),
