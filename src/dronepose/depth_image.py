@@ -29,7 +29,7 @@ class ProjectionParams:
 
     def __post_init__(self):
         if self.resolution < 64 or self.resolution % 2 != 0:
-            raise ValueError("resolution must be even and >= 64")
+            raise ValueError(f"resolution must be even and >= 64, got {self.resolution!r}")
         if not 0.0 < self.half_fov < np.pi / 2:
             raise ValueError("half_fov must lie in (0, pi/2)")
         w = _vec(self.view_direction)

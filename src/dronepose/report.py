@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import GimbalLockError, euler_to_rotation, euler_xyz
+from .geom import GimbalLockError, euler_to_rotation, euler_xyz, rotation_angle
 from .scenario import Scenario, ScenarioError
 
 
@@ -41,10 +41,11 @@ class RunRecord:
 
 @dataclass
 class MetricsReport:
-    """Per-axis RMSE summary of one run."""
+    """Per-axis and geodesic RMSE summary of one run."""
 
     pos_rmse: np.ndarray | None        # m, (x, y, z) over locked frames
     rot_rmse_deg: np.ndarray | None    # deg, (rx, ry, rz) after the correction
+    rot_geodesic_rmse_deg: float | None  # deg, angle of est^T truth, same rows
     rot_whole_run: bool                # no correction fired; angles cover the run
     acquisition_time: float | None
     mean_frame_time: float | None      # s, estimator step only, no simulation
@@ -62,6 +63,7 @@ class MetricsReport:
                for name, arr in (("pos_rmse", self.pos_rmse), ("rot_rmse_deg", self.rot_rmse_deg))
                for axis, label in enumerate(("x", "y", "z"))}
         return {**out,
+                "rot_geodesic_rmse_deg": fmt(self.rot_geodesic_rmse_deg),
                 "rot_whole_run": "true" if self.rot_whole_run else "false",
                 "acquisition_time": fmt(self.acquisition_time),
                 "mean_frame_time": fmt(self.mean_frame_time),
@@ -95,7 +97,8 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
     """Position RMSE over locked frames; angle RMSE after the yaw correction.
 
     When no correction fired the angle RMSE covers the whole run and is
-    flagged; angle residuals wrap to (-180, 180] degrees.
+    flagged; angle residuals wrap to (-180, 180] degrees. The geodesic RMSE
+    covers the same rows, from the angle of each row's est^T truth.
     """
     locked = np.array([s == "locked" for s in record.status], dtype=bool)
     n_locked = int(locked.sum())
@@ -106,18 +109,23 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
 
     k_init = record.k_init
     start = k_init if k_init is not None else 0
-    rot_rmse = None
+    rot_rmse = rot_geodesic = None
     if len(record.times) > start:
         est = _euler_deg(record.est_rotations[start:])
         truth = _euler_deg(record.truth_rotations[start:])
         diff = _wrap_degrees(est - truth)
         rot_rmse = np.sqrt(np.mean(diff ** 2, axis=0))
+        # One angle per row, defined at gimbal lock where the Euler angles are not.
+        angles = [rotation_angle(e.T @ t) for e, t in
+                  zip(record.est_rotations[start:], record.truth_rotations[start:])]
+        rot_geodesic = float(np.rad2deg(np.sqrt(np.mean(np.square(angles)))))
 
     mean_frame = (float(np.mean(record.frame_compute_times))
                   if len(record.frame_compute_times) else None)
     return MetricsReport(
         pos_rmse=pos_rmse,
         rot_rmse_deg=rot_rmse,
+        rot_geodesic_rmse_deg=rot_geodesic,
         rot_whole_run=k_init is None,
         acquisition_time=record.acquisition_time,
         mean_frame_time=mean_frame,

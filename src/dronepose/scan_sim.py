@@ -27,7 +27,9 @@ from .geom import Pose, _vec, is_rotation, rotation_about_axis, rotation_log
 
 _RAY_EPS = 1e-9
 _BOUND_PAD = 1e-6     # relative and absolute (m) growth of bounding spheres
-_CHUNK_FIRINGS = 512
+_FAN_SLACK = 1e-6     # relative and absolute (m) margin of the fan test; rad for planes
+_BLOCK_FIRINGS = 2560  # firings culled together; holds a default vibration frame
+_CHUNK_FIRINGS = 512   # most kept firings per nearest_hit call
 
 
 @dataclass
@@ -223,7 +225,8 @@ class Scene:
     on the rays that can meet its sphere (bounding-volume culling, Kay &
     Kajiya, SIGGRAPH 1986). Every (ray, primitive) distance is computed
     as without culling and the minimum is exact, so returns are
-    bit-identical.
+    bit-identical. ``fan_candidates`` culls whole firings first, one cone
+    per firing (packet culling, Wald et al., Eurographics 2001).
     """
 
     def __init__(self, primitives, seed: int = 0):
@@ -258,25 +261,81 @@ class Scene:
         self.bound_centers = np.array([c for c, _ in bounds], dtype=float).reshape(-1, 3)
         self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
-    def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0):
-        """Smallest positive hit distance per ray (inf = no hit)."""
-        t = np.full(len(origins), np.inf)
+    def fan_candidates(self, origins, axes, spread, drone_centers=None, drone_half=0.0):
+        """Which primitives each of F fans of rays can hit: (groups + rects + 1, F) bools.
+
+        Fan f holds rays from ``origins[f]`` within ``spread`` rad of the unit
+        ``axes[f]``. Rows follow ``groups``, then ``rects``, then the drone box
+        around ``drone_centers[f]``, and are False only where no ray of the fan
+        can hit. A ray hits a rectangle at z0 only when it points toward the
+        plane (``_ray_rect_z`` needs t > 0), and a fan's elevations lie within
+        ``spread`` of its axis'.
+        """
+        rows = np.zeros((len(self.groups) + len(self.rects) + 1, len(origins)), dtype=bool)
         if self.groups:
-            cand = _may_hit(origins, dirs, self.bound_centers[:, None], self.bound_radii[:, None])
-            for (exact, a, b), rays in zip(self.groups, cand):
-                sel = np.flatnonzero(rays)
-                if len(sel):
-                    t[sel] = np.minimum(t[sel], exact(origins[sel], dirs[sel], a, b))
+            rows[:len(self.groups)] = _may_hit(origins, axes, self.bound_centers[:, None],
+                                               self.bound_radii[:, None], spread)
+        lim = np.sin(min(spread + _FAN_SLACK, np.pi / 2.0))
+        oz, az = origins[:, 2], axes[:, 2]
+        for k, rect in enumerate(self.rects, start=len(self.groups)):
+            rows[k] = ((oz > rect[0]) & (az <= lim)) | ((oz < rect[0]) & (az >= -lim))
+        if drone_centers is not None and drone_half > 0.0:
+            rows[-1] = _may_hit(origins, axes, drone_centers, _pad(np.sqrt(3.0) * drone_half),
+                                spread)
+        return rows
+
+    def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0,
+                    fans=None):
+        """Smallest positive hit distance per ray (inf = no hit).
+
+        ``fans``, if given, is ``fan_candidates``' rows for the F fans whose
+        rays these are, laid out fan by fan. Each group and the drone box are
+        then tested only on the rays of the fans their rows keep. Ground
+        rectangles are tested on every ray, as most fans kept reach the
+        ground. ``t`` is the same, bit for bit, as without ``fans``.
+        """
+        t = np.full(len(origins), np.inf)
+        cand = ()
+        if fans is not None:
+            per_fan = len(origins) // fans.shape[1]
+            cand = (_pass(origins, dirs, c, radius, _fan_rays(row, per_fan))
+                    for row, c, radius in zip(fans, self.bound_centers, self.bound_radii))
+        elif self.groups:
+            near = _may_hit(origins, dirs, self.bound_centers[:, None], self.bound_radii[:, None])
+            cand = (np.flatnonzero(rays) for rays in near)
+        for (exact, a, b), sel in zip(self.groups, cand):
+            if len(sel):
+                t[sel] = np.minimum(t[sel], exact(np.take(origins, sel, axis=0),
+                                                  np.take(dirs, sel, axis=0), a, b))
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            sel = np.flatnonzero(_may_hit(origins, dirs, drone_centers,
-                                          _pad(np.sqrt(3.0) * drone_half)))
+            bound = _pad(np.sqrt(3.0) * drone_half)
+            if fans is None:
+                sel = np.flatnonzero(_may_hit(origins, dirs, drone_centers, bound))
+            else:
+                rays = _fan_rays(fans[-1], per_fan)
+                sel = _pass(origins, dirs, np.take(drone_centers, rays, axis=0), bound, rays)
             if len(sel):
-                c = drone_centers[sel]
-                t[sel] = np.minimum(t[sel], _ray_box(origins[sel], dirs[sel],
+                c = np.take(drone_centers, sel, axis=0)
+                t[sel] = np.minimum(t[sel], _ray_box(np.take(origins, sel, axis=0),
+                                                     np.take(dirs, sel, axis=0),
                                                      c - drone_half, c + drone_half))
         return t
+
+
+def _fan_rays(row, per_fan):
+    """Indices of the rays of the fans that ``row`` keeps, fans laid out in turn."""
+    return (np.flatnonzero(row)[:, None] * per_fan + np.arange(per_fan)).ravel()
+
+
+def _pass(origins, dirs, centers, radius, rays):
+    """The ``rays`` (indices) that pass ``_may_hit``; one center, or one per ray.
+    np.take gathers rows of an (n, 3) array several times faster than a[rays]."""
+    if not len(rays):
+        return rays
+    near = _may_hit(np.take(origins, rays, axis=0), np.take(dirs, rays, axis=0), centers, radius)
+    return rays[near]
 
 
 def _pad(radius):
@@ -284,13 +343,40 @@ def _pad(radius):
     return radius * (1.0 + _BOUND_PAD) + _BOUND_PAD
 
 
-def _may_hit(origins, dirs, centers, radius):
+def _may_hit(origins, dirs, centers, radius, spread=None):
     """Broad phase: True where a ray (origin, unit direction) can meet a sphere
-    (center, radius) at a positive distance; the arrays broadcast."""
-    ox, oy, oz = (origins[..., i] - centers[..., i] for i in range(3))
-    b = ox * dirs[..., 0] + oy * dirs[..., 1] + oz * dirs[..., 2]
-    c = ox * ox + oy * oy + oz * oz - radius * radius
-    return (c <= 0.0) | ((b <= 0.0) & (b * b >= c))
+    (center, radius) at a positive distance; the arrays broadcast.
+
+    With ``spread`` (rad), each direction is the axis of a fan, and the result
+    is True where any ray within ``spread`` of the axis may meet the sphere.
+
+    Why the fan test is exact. With w = center - origin, a ray d meets the
+    sphere iff the origin is inside or angle(d, w) <= asin(r / |w|), and a
+    ray within ``spread`` s of the axis has angle(axis, w) <= s + asin(r / |w|).
+    While that sum is below pi, which s < pi/2 ensures, this reads
+    w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here as for rays.
+    The radius is grown by the slack ``_FAN_SLACK (|w| + r + 1)``, over ten
+    times the reach of the ray test's rounding (a few 1e-8 |w| near the
+    sphere's surface), and the slack is also subtracted from the threshold,
+    covering the rounding of the axis and of this test. So a fan is dropped
+    only when no ray of it passes the ray test, and the rays of the fans kept
+    see the ray test and the exact tests with the same arithmetic on the same
+    bits. A fan of s >= pi/2 may cover more than a half-sphere and is kept.
+    """
+    if spread is not None and spread >= np.pi / 2.0:
+        return np.ones(np.broadcast_shapes(origins.shape[:-1], centers.shape[:-1],
+                                           np.shape(radius)), dtype=bool)
+    wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
+    ahead = wx * dirs[..., 0] + wy * dirs[..., 1] + wz * dirs[..., 2]
+    dist2 = wx * wx + wy * wy + wz * wz
+    if spread is None:
+        gap = dist2 - radius * radius
+    else:
+        slack = _FAN_SLACK * (np.sqrt(dist2) + radius + 1.0)
+        radius = radius + slack
+        ahead = ahead + np.sin(spread) * radius + slack
+        gap = np.cos(spread) ** 2 * (dist2 - radius * radius)
+    return (gap <= 0.0) | ((ahead >= 0.0) & (ahead * ahead >= gap))
 
 
 def _ray_spheres(origins, dirs, centers, radii):
@@ -311,8 +397,10 @@ def _ray_box(origins, dirs, lo, hi):
     d = np.where(dirs == 0.0, 1e-300, dirs)
     t1 = (lo - origins) / d
     t2 = (hi - origins) / d
-    t_near = np.minimum(t1, t2).max(axis=1)
-    t_far = np.maximum(t1, t2).min(axis=1)
+    lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
+    # Column-wise max and min: exact like a reduction over axis 1, and cheaper.
+    t_near = np.maximum(np.maximum(lo_t[:, 0], lo_t[:, 1]), lo_t[:, 2])
+    t_far = np.minimum(np.minimum(hi_t[:, 0], hi_t[:, 1]), hi_t[:, 2])
     hit = (t_far >= t_near) & (t_near > _RAY_EPS)
     return np.where(hit, t_near, np.inf)
 
@@ -327,54 +415,77 @@ def _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy):
 
 
 def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
-    """Shared ray-casting loop; chunked over firings to bound memory."""
+    """Shared ray-casting loop.
+
+    The beams of one firing lie on one great circle, within ``spread`` of the
+    beam at the middle elevation. Per block of firings, ``Scene.fan_candidates``
+    tests that cone, and rays are built only for the firings it keeps, at most
+    ``_CHUNK_FIRINGS`` per ``nearest_hit`` call. A dropped firing has no return
+    and draws no noise, and ``rng.normal`` gives the same stream in one call or
+    several, so the points match a cast of every firing.
+    """
     if lidar.range_noise > 0.0 and rng is None:
         raise ValueError("range noise requires an rng")
     n_firings = int(np.floor(duration / lidar.firing_interval + 1e-9))
     beams = lidar.beam_elevations
     n_beams = len(beams)
     sb, cb = np.sin(beams), np.cos(beams)
+    mid = (beams.max() + beams.min()) / 2.0
+    spread = (beams.max() - beams.min()) / 2.0
     align_rot = trajectories.vehicle.rotation_at(t0)
     align_pos = trajectories.vehicle.position_at(t0)
     drone_half = drone.width / 2.0 if drone is not None else 0.0
 
     all_points = []
-    for start in range(0, n_firings, _CHUNK_FIRINGS):
-        idx = np.arange(start, min(start + _CHUNK_FIRINGS, n_firings))
+    for block in range(0, n_firings, _BLOCK_FIRINGS):
+        idx = np.arange(block, min(block + _BLOCK_FIRINGS, n_firings))
         times = t0 + idx * lidar.firing_interval
         alpha = idx * lidar.azimuth_step
         sa, ca = np.sin(alpha), np.cos(alpha)
-        dirs = np.empty((len(idx), n_beams, 3))
-        dirs[:, :, 0] = sa[:, None] * cb[None, :]
-        dirs[:, :, 1] = sb[None, :]
-        dirs[:, :, 2] = ca[:, None] * cb[None, :]
         phi = angle_fn(times)
         cp, sp = np.cos(phi), np.sin(phi)
-        x = dirs[:, :, 0] * cp[:, None] - dirs[:, :, 1] * sp[:, None]
-        y = dirs[:, :, 0] * sp[:, None] + dirs[:, :, 1] * cp[:, None]
-        dirs[:, :, 0] = x
-        dirs[:, :, 1] = y
-
         veh_rot = trajectories.vehicle.rotations_at(times)
-        # One einsum per output axis sums the same products in the same order as
-        # one over all three axes, so the bits match; np.matmul's do not.
-        dirs_world = np.empty_like(dirs)
-        for i in range(3):
-            np.einsum("fj,fbj->fb", veh_rot[:, i], dirs, out=dirs_world[:, :, i])
-        dirs_world = dirs_world.reshape(-1, 3)
-        origins = np.repeat(trajectories.vehicle.positions_at(times), n_beams, axis=0)
-        drone_centers = (np.repeat(trajectories.drone.positions_at(times), n_beams, axis=0)
-                         if drone is not None else None)
+        veh_pos = trajectories.vehicle.positions_at(times)
+        drone_pos = trajectories.drone.positions_at(times) if drone is not None else None
 
-        t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half)
-        hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
-        ranges = t_hit[hit]
-        if lidar.range_noise > 0.0 and len(ranges):
-            ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
-            keep = (ranges > 0.0) & (ranges <= lidar.max_range)
-            hit, ranges = hit[keep], ranges[keep]
-        hits_world = origins[hit] + ranges[:, None] * dirs_world[hit]
-        all_points.append((hits_world - align_pos) @ align_rot)
+        # Each firing's fan axis, the beam at elevation ``mid``, in the world.
+        ax = np.cos(mid) * sa * cp - np.sin(mid) * sp
+        ay = np.cos(mid) * sa * sp + np.sin(mid) * cp
+        axes = np.einsum("fij,fj->fi", veh_rot, np.stack([ax, ay, np.cos(mid) * ca], axis=1))
+        fans = scene.fan_candidates(veh_pos, axes, spread, drone_pos, drone_half)
+        kept = np.flatnonzero(fans.any(axis=0))
+
+        for start in range(0, len(kept), _CHUNK_FIRINGS):
+            k = kept[start:start + _CHUNK_FIRINGS]
+            dirs = np.empty((len(k), n_beams, 3))
+            dirs[:, :, 0] = sa[k, None] * cb[None, :]
+            dirs[:, :, 1] = sb[None, :]
+            dirs[:, :, 2] = ca[k, None] * cb[None, :]
+            x = dirs[:, :, 0] * cp[k, None] - dirs[:, :, 1] * sp[k, None]
+            y = dirs[:, :, 0] * sp[k, None] + dirs[:, :, 1] * cp[k, None]
+            dirs[:, :, 0] = x
+            dirs[:, :, 1] = y
+
+            # One einsum per output axis sums the same products in the same order as
+            # one over all three axes, so the bits match; np.matmul's do not.
+            dirs_world = np.empty_like(dirs)
+            for i in range(3):
+                np.einsum("fj,fbj->fb", veh_rot[k, i], dirs, out=dirs_world[:, :, i])
+            dirs_world = dirs_world.reshape(-1, 3)
+            origins = np.repeat(veh_pos[k], n_beams, axis=0)
+            drone_centers = (np.repeat(drone_pos[k], n_beams, axis=0)
+                             if drone is not None else None)
+
+            t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half, fans[:, k])
+            hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
+            ranges = t_hit[hit]
+            if lidar.range_noise > 0.0 and len(ranges):
+                ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
+                keep = (ranges > 0.0) & (ranges <= lidar.max_range)
+                hit, ranges = hit[keep], ranges[keep]
+            hits_world = (np.take(origins, hit, axis=0)
+                          + ranges[:, None] * np.take(dirs_world, hit, axis=0))
+            all_points.append((hits_world - align_pos) @ align_rot)
 
     points = np.concatenate(all_points) if all_points else np.empty((0, 3))
     return ScanFrame(points, t0, t0 + duration)

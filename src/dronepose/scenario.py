@@ -49,7 +49,8 @@ class ScenarioError(ValueError):
 
 # key -> (type tag, default text or None when required, range rule). A rule is
 # "<op> <bound>", the bound a number or a key listed above it. None: any value
-# of the type, or the component that receives the value checks its range.
+# of the type, or the component that receives the value checks its range. A
+# rule bound by a key is checked once that key's component has accepted it.
 _SCHEMA = {
     "schema_version": ("int", None, "== 1"),
     "seed": ("int", None, ">= 0"),
@@ -197,21 +198,27 @@ def _collect_raw(text: str, source: str) -> dict:
 
 
 def _resolve(raw: dict, prefix: str, fields: dict, resolved: dict) -> dict:
-    """Convert, default, range-check and echo each ``prefix + name`` of ``fields``."""
+    """Convert, default, range-check and echo each ``prefix + name`` of ``fields``;
+    a rule bound by another key waits until the components are built."""
     values = {}
     for name, (kind, default, rule) in fields.items():
         key = prefix + name
         if key not in raw and default is None:
             raise ScenarioError(f"{key}: required key missing (seeds are mandatory)"
                                 if key == "seed" else f"{key}: required key missing")
-        values[name] = value = _convert(key, kind, raw.get(key, default))
-        if rule is not None:
-            op, _, bound = rule.partition(" ")
-            limit = values[bound] if bound in values else float(bound)
-            if not _OPS[op](value, limit):
-                raise ScenarioError(f"{key}: must be {rule}, got {value!r}")
-        resolved[key] = _canonical(kind, value)
+        values[name] = _convert(key, kind, raw.get(key, default))
+        if rule is not None and rule.partition(" ")[2] not in fields:
+            _check_rule(key, values[name], rule, values)
+        resolved[key] = _canonical(kind, values[name])
     return values
+
+
+def _check_rule(key: str, value, rule: str, values: dict) -> None:
+    """Raise unless ``key``'s ``value`` meets ``rule``; a key bound is read from ``values``."""
+    op, _, bound = rule.partition(" ")
+    limit = values[bound] if bound in values else float(bound)
+    if not _OPS[op](value, limit):
+        raise ScenarioError(f"{key}: must be {rule}, got {value!r}")
 
 
 def _indexed_group(raw: dict, prefix: str, fields: dict, resolved: dict) -> list:
@@ -295,6 +302,10 @@ def _build_scenario(raw: dict) -> Scenario:
         vd_noise=np.deg2rad(values["observation.vd_noise_deg"]),
         ego_noise=np.deg2rad(values["observation.ego_noise_deg"]),
         scramble=values["observation.scramble"]))
+    # Rules bound by a key, now that every component has accepted its values.
+    for key, (_, _, rule) in _SCHEMA.items():
+        if rule is not None and rule.partition(" ")[2] in _SCHEMA:
+            _check_rule(key, values[key], rule, values)
     # A sweep (pi / omega) or frame shorter than one firing casts nothing and can stop the
     # clock; one holding more than MAX_CAST_POINTS rays runs too long and too large.
     period = values["motor.vibration_period"]

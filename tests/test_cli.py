@@ -78,6 +78,20 @@ class TestRunCommand:
         assert err.startswith(f"error: override '{override}': ")
         assert ".scenario:" not in err
 
+    @pytest.mark.parametrize("overrides, line", [
+        # a bad resolution is reported as one, not as a band wider than it
+        (["projection.resolution=10"], "projection: resolution must be even and >= 64, got 10"),
+        (["projection.resolution=10", "kernel.outer_band=5"],
+         "projection: resolution must be even and >= 64, got 10"),
+        (["projection.resolution=65"], "projection: resolution must be even and >= 64, got 65"),
+        (["kernel.outer_band=600"], "kernel.outer_band: must be <= projection.resolution, got 600"),
+    ])
+    def test_range_error_names_the_key_at_fault(self, overrides, line, tmp_path, capsys):
+        code = main(["run", "--scenario", str(EXP1), "--out", str(tmp_path / "r"),
+                     "--overrides", *overrides])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.scenario"),
                      "--out", str(tmp_path / "o")])

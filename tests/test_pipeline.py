@@ -181,6 +181,34 @@ class TestMetrics:
         rec.corrected[:] = True
         assert rec.k_init == 0
 
+    def test_geodesic_rmse_of_a_constant_yaw_error(self):
+        rec = synthetic_record(n=6, k_init=2)
+        rec.est_rotations = np.array([rotation_about_z(np.deg2rad(10.0)) @ r
+                                      for r in rec.truth_rotations])
+        report = compute_metrics(rec)
+        assert report.rot_geodesic_rmse_deg == pytest.approx(10.0, abs=1e-9)
+        assert report.as_dict()["rot_geodesic_rmse_deg"] == repr(report.rot_geodesic_rmse_deg)
+        # the per-angle lines stay, and the geodesic line follows them
+        names = list(report.as_dict())
+        assert names.index("rot_geodesic_rmse_deg") == names.index("rot_rmse_deg_z") + 1
+
+    def test_geodesic_rmse_near_gimbal_lock(self):
+        # pitch 5e-7 rad off 90 degrees: Euler angles are ill-defined, the angle is not
+        rec = synthetic_record(n=4)
+        rec.truth_rotations = np.array([euler_to_rotation(0.3 * i, np.pi / 2 - 5e-7, 1.0)
+                                        for i in range(4)])
+        errors = np.deg2rad([3.0, 4.0, 0.0, 12.0])
+        rec.est_rotations = np.array([rotation_about_z(e) @ r
+                                      for e, r in zip(errors, rec.truth_rotations)])
+        report = compute_metrics(rec)
+        expected = np.rad2deg(np.sqrt(np.mean(errors ** 2)))
+        assert report.rot_geodesic_rmse_deg == pytest.approx(expected, abs=1e-9)
+
+    def test_geodesic_rmse_absent_without_rows(self):
+        report = compute_metrics(synthetic_record(n=0))
+        assert report.rot_geodesic_rmse_deg is None
+        assert report.as_dict()["rot_geodesic_rmse_deg"] == "absent"
+
     def test_lost_frames_excluded_from_position(self):
         rec = synthetic_record(n=10, bias=(0.1, 0.0, 0.0))
         rec.status[5] = "lost"

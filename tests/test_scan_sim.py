@@ -15,6 +15,8 @@ from dronepose.scan_sim import (
     observe_vds,
     simulate_full_scan,
     simulate_vibration_frame,
+    _may_hit,
+    _pad,
     _ray_box,
     _ray_rect_z,
     _ray_spheres,
@@ -227,6 +229,84 @@ class TestBroadPhase:
         for i in range(0, len(origins), 37):
             o, d = origins[i][None], dirs[i][None]
             assert np.array_equal(scene.nearest_hit(o, d), dense_nearest_hit(scene, o, d))
+
+
+def fans_through(rng, origins, rays, spread, per_fan):
+    """Fans of ``per_fan`` rays from ``origins``: the first ray of each is the
+    given one, the others lie on a great circle through it, evenly spread
+    over the ``2 spread`` wide arc around the fan's axis. Every fourth axis
+    puts the given ray on the arc's edge. Returns the fans' axes and their
+    rays' origins and directions, laid out fan by fan."""
+    side = unit(np.cross(rays, rng.normal(size=rays.shape)))
+    shift = rng.uniform(-spread, spread, len(rays))
+    shift[::4] = spread
+    axes = np.cos(shift)[:, None] * rays + np.sin(shift)[:, None] * side
+    arc = shift[:, None] + np.linspace(-spread, spread, per_fan - 1)
+    rest = np.cos(arc)[..., None] * rays[:, None] + np.sin(arc)[..., None] * side[:, None]
+    dirs = np.concatenate([rays[:, None], rest], axis=1).reshape(-1, 3)
+    return axes, np.repeat(origins, per_fan, axis=0), dirs
+
+
+# Fan half-angles: a single ray, the LiDAR's 15 degrees, wide, either side of
+# pi/2 (where the cone test gives way to keeping every fan), and past pi.
+FAN_SPREADS = {"ray": 0.0, "lidar": np.deg2rad(15.0), "wide": 1.2,
+               "under_half_pi": np.pi / 2 - 1e-9, "over_half_pi": np.pi / 2 + 1e-9, "past_pi": 3.5}
+
+
+class TestFanCull:
+    """The fan-level broad phase drops no ray that the per-ray test keeps."""
+
+    @staticmethod
+    def fan_cases(shift, spread, seed, per_fan=5):
+        rng = np.random.default_rng(seed)
+        for half in (0.05, 0.25, 1.5):
+            scene = random_scene(rng, shift)
+            rays_o, rays_d = edge_case_rays(rng, scene, shift)
+            axes, origins, dirs = fans_through(rng, rays_o, rays_d, spread, per_fan)
+            drone = rays_o + 6.0 * rays_d + rng.normal(0.0, 2.0 * half, rays_o.shape)
+            drone[::7] = rays_o[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
+            yield scene, half, rays_o, axes, drone, origins, dirs, np.repeat(drone, per_fan, axis=0)
+
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
+    def test_nearest_hit_with_fans_is_bit_identical(self, shift, spread):
+        culled = 0
+        for scene, half, fan_o, axes, fan_drone, origins, dirs, drone in self.fan_cases(
+                shift, spread, 20864):
+            fans = scene.fan_candidates(fan_o, axes, spread, fan_drone, half)
+            assert fans.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
+            got = scene.nearest_hit(origins, dirs, drone, half, fans)
+            assert np.array_equal(got, scene.nearest_hit(origins, dirs, drone, half))
+            assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, half))
+            culled += np.count_nonzero(~fans)
+        assert (culled > 0) == (spread < np.pi / 2)
+
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
+    def test_every_ray_kept_lies_in_a_fan_kept(self, shift, spread):
+        per_fan = 5
+        for scene, half, fan_o, axes, fan_drone, origins, dirs, drone in self.fan_cases(
+                shift, spread, 20865, per_fan):
+            fans = scene.fan_candidates(fan_o, axes, spread, fan_drone, half)
+            rays = [_may_hit(origins, dirs, c, r)
+                    for c, r in zip(scene.bound_centers, scene.bound_radii)]
+            rays += [np.isfinite(_ray_rect_z(origins, dirs, *rect)) for rect in scene.rects]
+            rays.append(_may_hit(origins, dirs, drone, _pad(np.sqrt(3.0) * half)))
+            for row, ray_kept in zip(fans, rays):
+                assert not np.any(ray_kept.reshape(-1, per_fan).any(axis=1) & ~row)
+
+    def test_ground_seen_from_below(self):
+        # a ceiling: fans from below reach it only when some ray points up
+        scene = Scene([ScenePrimitive("ground_plane", (0.0, 0.0, 10.0), (40.0, 40.0, 1.0))])
+        spread = np.deg2rad(15.0)
+        elevations = np.deg2rad([-60.0, -16.0, -14.0, 0.0, 30.0])
+        axes = np.stack([np.cos(elevations), np.zeros(5), np.sin(elevations)], axis=1)
+        below = scene.fan_candidates(np.zeros((5, 3)), axes, spread)
+        above = scene.fan_candidates(np.tile([0.0, 0.0, 20.0], (5, 1)), axes, spread)
+        level = scene.fan_candidates(np.tile([0.0, 0.0, 10.0], (5, 1)), axes, spread)
+        assert below[0].tolist() == [False, False, True, True, True]
+        assert above[0].tolist() == [True, True, True, True, False]
+        assert not level[0].any()
 
 
 class TestFullScan:
@@ -483,6 +563,47 @@ class TestCastMatchesReference:
                               LidarModel(range_noise=noise, points_per_second=40000.0),
                               SWEEP_OMEGA, CAST_START, drone=DroneModel() if drone else None)
         assert len(got) > 10_000
+        assert np.array_equal(got, ref)
+
+
+# Beam layouts as ``scenario`` builds them: (lidar.elevation_span_deg, lidar.beam_count).
+# Spans of 200 and 400 degrees give fans wider than a half-sphere.
+BEAM_LAYOUTS = [(span, count) for span in (0.0, -30.0, 179.0, 200.0, 400.0) for count in (2, 16)]
+
+
+def tilted_world():
+    """A rolling, pitching and yawing vehicle under a ceiling rectangle, so fan
+    planes are not vertical and some rays meet a rectangle from below."""
+    vehicle = TrajectorySpec([0.0, 0.52, 3.0], [(0.0, 0.0, 1.5), (0.2, 0.1, 1.6), (1.0, -1.0, 2.0)],
+                             [euler_to_rotation(0.3, -0.2, 0.1), euler_to_rotation(0.25, -0.1, 0.3),
+                              euler_to_rotation(-0.2, 0.4, 0.5)])
+    scene = Scene(cast_scene().primitives
+                  + [ScenePrimitive("ground_plane", (4.0, 2.0, 25.0), (30.0, 20.0, 1.0))], seed=5)
+    return scene, Trajectories(drone=CAST_DRONES["moving"](), vehicle=vehicle)
+
+
+class TestCastBeamLayouts:
+    """The culled cast matches the reference for every fan width."""
+
+    @pytest.mark.parametrize("span, count", BEAM_LAYOUTS)
+    def test_vibration_frame(self, monkeypatch, span, count):
+        scene, traj = tilted_world()
+        lidar = LidarModel(beam_elevations=np.deg2rad(np.linspace(-span / 2, span / 2, count)),
+                           range_noise=0.03)
+        got, ref = both_casts(monkeypatch, simulate_vibration_frame, 0.03, scene, traj, lidar,
+                              DRONE_AZIMUTH, VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START,
+                              drone=DroneModel())
+        assert len(got) > 1000
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("span, count", BEAM_LAYOUTS)
+    def test_full_scan(self, monkeypatch, span, count):
+        scene, traj = tilted_world()
+        lidar = LidarModel(beam_elevations=np.deg2rad(np.linspace(-span / 2, span / 2, count)),
+                           points_per_second=2500.0 * count)
+        got, ref = both_casts(monkeypatch, simulate_full_scan, 0.0, scene, traj, lidar,
+                              SWEEP_OMEGA, CAST_START, drone=DroneModel())
+        assert len(got) > 1000
         assert np.array_equal(got, ref)
 
 
