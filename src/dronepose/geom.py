@@ -25,6 +25,11 @@ def _vec(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def clamp_unit(x: float) -> float:
+    """``np.clip(x, -1.0, 1.0)`` for one float, without the array call; NaN stays NaN."""
+    return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+
+
 def angle_between(a, b) -> float:
     """Angle in [0, pi] between two directions."""
     a = _vec(a)
@@ -33,8 +38,7 @@ def angle_between(a, b) -> float:
     nb = np.linalg.norm(b)
     if na < 1e-12 or nb < 1e-12:
         raise ValueError("degenerate direction: zero-length input")
-    cosang = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.arccos(cosang))
+    return float(np.arccos(clamp_unit(float(np.dot(a, b) / (na * nb)))))
 
 
 def rotation_about_x(theta: float) -> np.ndarray:
@@ -101,7 +105,7 @@ def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
 def rotation_log(rotation) -> np.ndarray:
     """Rotation vector (axis * angle) of a rotation matrix."""
     r = _vec(rotation)
-    cos_t = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
+    cos_t = clamp_unit(float((np.trace(r) - 1.0) / 2.0))
     theta = float(np.arccos(cos_t))
     skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     if theta < 1e-7:
@@ -150,11 +154,17 @@ def geodesic_step(start, target, max_step: float) -> np.ndarray:
     return start @ rotation_exp(rv * (max_step / theta))
 
 
+_KEEP_LAST, _FLIP_LAST = np.diag([1.0, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])
+
+
 def orthonormalize(rotation) -> np.ndarray:
     """Nearest proper rotation (Frobenius sense); cleans up filter drift."""
     u, _, vt = np.linalg.svd(_vec(rotation))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    # u @ vt is orthogonal to rounding, so its determinant is +-1 within a few
+    # ulps and the cofactor sum has the sign np.linalg.det would give.
+    (a, b, c), (d, e, f), (g, h, i) = (u @ vt).tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return u @ (_KEEP_LAST if det > 0.0 else _FLIP_LAST) @ vt
 
 
 def is_rotation(rotation, tol: float = _ROT_TOL) -> bool:

@@ -289,7 +289,8 @@ class Scene:
         """Smallest positive hit distance per ray (inf = no hit).
 
         ``fans``, if given, is ``fan_candidates``' rows for the F fans whose
-        rays these are, laid out fan by fan. Each group and the drone box are
+        rays these are, laid out fan by fan; ``drone_centers`` then holds one
+        centre per fan rather than per ray. Each group and the drone box are
         then tested only on the rays of the fans their rows keep. Ground
         rectangles are tested on every ray, as most fans kept reach the
         ground. ``t`` is the same, bit for bit, as without ``fans``.
@@ -313,11 +314,13 @@ class Scene:
             bound = _pad(np.sqrt(3.0) * drone_half)
             if fans is None:
                 sel = np.flatnonzero(_may_hit(origins, dirs, drone_centers, bound))
+                c = np.take(drone_centers, sel, axis=0)
             else:
                 rays = _fan_rays(fans[-1], per_fan)
-                sel = _pass(origins, dirs, np.take(drone_centers, rays, axis=0), bound, rays)
+                sel = _pass(origins, dirs, np.take(drone_centers, rays // per_fan, axis=0),
+                            bound, rays)
+                c = np.take(drone_centers, sel // per_fan, axis=0)
             if len(sel):
-                c = np.take(drone_centers, sel, axis=0)
                 t[sel] = np.minimum(t[sel], _ray_box(np.take(origins, sel, axis=0),
                                                      np.take(dirs, sel, axis=0),
                                                      c - drone_half, c + drone_half))
@@ -473,8 +476,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
                 np.einsum("fj,fbj->fb", veh_rot[k, i], dirs, out=dirs_world[:, :, i])
             dirs_world = dirs_world.reshape(-1, 3)
             origins = np.repeat(veh_pos[k], n_beams, axis=0)
-            drone_centers = (np.repeat(drone_pos[k], n_beams, axis=0)
-                             if drone is not None else None)
+            drone_centers = drone_pos[k] if drone is not None else None
 
             t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half, fans[:, k])
             hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))

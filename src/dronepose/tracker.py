@@ -53,18 +53,31 @@ class TrackState:
         return float(np.arctan2(self.position[1], self.position[0]))
 
 
+def _support(pts, center, radius):
+    """``pts[np.linalg.norm(pts - center, axis=1) <= radius]``, bit for bit, faster.
+
+    A point that test keeps has |dx| <= radius (more squares only add, and
+    sqrt(dx*dx) rounds to |dx| unless dx*dx underflows, which the 1e-150
+    floor rules out), so the test on x drops none of them. The norm test
+    then runs per axis on the few points left: ``add.reduce`` sums a row of
+    three left to right, as ``dx*dx + dy*dy + dz*dz`` does.
+    """
+    kept = [pts[:0]]
+    for i in range(0, len(pts), _SUPPORT_BLOCK):   # a full sweep's temporaries stay small
+        blk = pts[i:i + _SUPPORT_BLOCK]
+        near = np.take(blk, np.flatnonzero(np.abs(blk[:, 0] - center[0]) <= max(radius, 1e-150)),
+                       axis=0)
+        dx, dy, dz = (near - center).T
+        kept.append(near[np.sqrt(dx * dx + dy * dy + dz * dz) <= radius])
+    return np.concatenate(kept)
+
+
 def mean_shift_refine(points, start, params: MeanShiftParams,
                       iterations: int | None = None) -> np.ndarray:
     """Iterated Gaussian-weighted mean over the fixed support neighborhood."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     estimate = np.asarray(start, dtype=float).copy()
-    if len(pts):
-        # Block-wise, so a full sweep's temporaries stay small and reused.
-        support = np.concatenate([
-            blk[np.linalg.norm(blk - estimate, axis=1) <= params.radius]
-            for blk in (pts[i:i + _SUPPORT_BLOCK] for i in range(0, len(pts), _SUPPORT_BLOCK))])
-    else:
-        support = pts
+    support = _support(pts, estimate, params.radius)
     if len(support) == 0:
         raise TargetLostError("target lost: empty refinement neighborhood")
     n_iter = params.iterations if iterations is None else iterations

@@ -24,13 +24,14 @@ import numpy as np
 from .geom import (
     _vec,
     angle_between,
+    clamp_unit,
     geodesic_step,
     orthonormalize,
     rotation_aligning_xy,
 )
 
 MATCH_LIMIT = np.deg2rad(45.0)
-_MIN_PAIR_ANGLE = np.deg2rad(10.0)
+_MIN_PAIR_SIN = np.sin(np.deg2rad(10.0))
 
 
 class AmbiguousMatchError(ValueError):
@@ -43,13 +44,14 @@ def complete_vd(v1, v2) -> np.ndarray:
     The columns are unit vectors, the third orthogonal to the others, and
     the determinant is ``|v1 x v2|``, which the pair check keeps above sin 10 deg.
     """
-    v1 = _vec(v1) / np.linalg.norm(v1)
-    v2 = _vec(v2) / np.linalg.norm(v2)
-    cross = np.cross(v1, v2)
-    if np.linalg.norm(cross) <= np.sin(_MIN_PAIR_ANGLE):
+    (a0, a1, a2), (b0, b1, b2) = ((_vec(v) / np.linalg.norm(v)).tolist() for v in (v1, v2))
+    # np.cross's own arithmetic, on floats: one multiply each, then the subtraction.
+    cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    norm = np.linalg.norm(cross)
+    if norm <= _MIN_PAIR_SIN:
         raise ValueError("near-collinear vanishing directions")
-    v3 = cross / np.linalg.norm(cross)
-    return np.column_stack([v1, v2, v3])
+    c0, c1, c2 = (cross / norm).tolist()
+    return np.array([[a0, b0, c0], [a1, b1, c1], [a2, b2, c2]])
 
 
 @dataclass
@@ -77,10 +79,16 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     """
     vg = _vec(vehicle_vds)
     moved = _vec(prior) @ _vec(drone_vds)
-    angles = np.empty((3, 3, 2))
+    # angle_between of each pair, with each column's norm taken once.
+    norms_g = [np.linalg.norm(vg[:, i]) for i in range(3)]
+    norms_m = [np.linalg.norm(moved[:, k]) for k in range(3)]
+    if any(n < 1e-12 for n in norms_g + norms_m):
+        raise ValueError("degenerate direction: zero-length input")
+    angles = {}
     for i in range(3):
         for k in range(3):
-            a = angle_between(vg[:, i], moved[:, k])
+            cosang = float(np.dot(vg[:, i], moved[:, k]) / (norms_g[i] * norms_m[k]))
+            a = float(np.arccos(clamp_unit(cosang)))
             angles[i, k, 0] = a
             angles[i, k, 1] = np.pi - a
     perm = [0, 0, 0]

@@ -5,6 +5,12 @@ evaluates every non-zero pixel with per-candidate coordinate grids and
 explicit bounds handling (no shared padding, no size grouping), and the
 mean-shift oracle iterates plain Python arithmetic with exact fsum.
 
+The ``reference_*`` estimator functions are the mean-shift support and the
+rotation stages as they were before their per-call numpy work was cut
+(a row-wise norm over every point, ``np.cross``, ``np.clip`` on scalars,
+two norms per angle, ``np.linalg.det``); the library must match them bit
+for bit.
+
 The cast oracle is the simulator's ray-casting loop as it was before its
 per-chunk work was cut: one ``rotation_log`` per trajectory segment and
 chunk, and one einsum over all three direction axes. It shares
@@ -17,8 +23,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dronepose.geom import rotation_log
+from dronepose.geom import rotation_exp, rotation_log
 from dronepose.scan_sim import _CHUNK_FIRINGS, ScanFrame
+from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
 
 def oracle_inner_size(depth, drone_width, focal, max_inner):
@@ -118,6 +125,98 @@ def oracle_match(vehicle_vds, drone_vds, prior):
                 best = cand
     _, perm, signs, residuals = best
     return perm, signs, np.array(residuals)
+
+
+def reference_support(points, center, radius):
+    """The mean-shift support: every point within ``radius`` of ``center``, in order."""
+    return points[np.linalg.norm(points - center, axis=1) <= radius]
+
+
+def reference_angle_between(a, b):
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        raise ValueError("degenerate direction: zero-length input")
+    return float(np.arccos(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)))
+
+
+def reference_complete_vd(v1, v2):
+    v1 = np.asarray(v1, dtype=float) / np.linalg.norm(v1)
+    v2 = np.asarray(v2, dtype=float) / np.linalg.norm(v2)
+    cross = np.cross(v1, v2)
+    if np.linalg.norm(cross) <= np.sin(np.deg2rad(10.0)):
+        raise ValueError("near-collinear vanishing directions")
+    return np.column_stack([v1, v2, cross / np.linalg.norm(cross)])
+
+
+def reference_match_vds(vehicle_vds, drone_vds, prior):
+    """Greedy smallest-angle match; (permutation, signs, residuals)."""
+    vg = np.asarray(vehicle_vds, dtype=float)
+    moved = np.asarray(prior, dtype=float) @ np.asarray(drone_vds, dtype=float)
+    angles = np.empty((3, 3, 2))
+    for i in range(3):
+        for k in range(3):
+            a = reference_angle_between(vg[:, i], moved[:, k])
+            angles[i, k, 0] = a
+            angles[i, k, 1] = np.pi - a
+    perm, signs, residuals = [0, 0, 0], [1.0, 1.0, 1.0], np.zeros(3)
+    free_i, free_k = set(range(3)), set(range(3))
+    for _ in range(3):
+        best = None
+        for i in sorted(free_i):
+            for k in sorted(free_k):
+                for s in (0, 1):
+                    cand = (angles[i, k, s], i, k, s)
+                    if best is None or cand < best:
+                        best = cand
+        ang, i, k, s = best
+        if ang > MATCH_LIMIT:
+            raise AmbiguousMatchError(
+                f"ambiguous correspondence: best residual {np.rad2deg(ang):.1f} deg")
+        perm[i], signs[i], residuals[i] = k, 1.0 if s == 0 else -1.0, ang
+        free_i.remove(i)
+        free_k.remove(k)
+    return tuple(perm), tuple(signs), residuals
+
+
+def reference_orthonormalize(rotation):
+    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=float))
+    d = np.sign(np.linalg.det(u @ vt))
+    return u @ np.diag([1.0, 1.0, d]) @ vt
+
+
+def reference_estimate_rotation(vehicle_vds, drone_vds, residuals):
+    vg, vd = np.asarray(vehicle_vds, dtype=float), np.asarray(drone_vds, dtype=float)
+    a, b = np.argsort(residuals, kind="stable")[:2]
+    vg2 = reference_complete_vd(vg[:, a], vg[:, b])
+    vd2 = reference_complete_vd(vd[:, a], vd[:, b])
+    return reference_orthonormalize(vg2 @ np.linalg.inv(vd2))
+
+
+def reference_rotation_log(rotation):
+    r = np.asarray(rotation, dtype=float)
+    cos_t = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
+    theta = float(np.arccos(cos_t))
+    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if theta < 1e-7:
+        return 0.5 * skew
+    if theta > np.pi - 1e-5:
+        m = (r + np.eye(3)) / 2.0
+        i = int(np.argmax(np.diag(m)))
+        axis = m[:, i] / np.sqrt(max(m[i, i], 1e-15))
+        axis /= np.linalg.norm(axis)
+        if np.dot(axis, skew) < 0.0:
+            axis = -axis
+        return axis * theta
+    return skew * (theta / (2.0 * np.sin(theta)))
+
+
+def reference_filter_rotation(rotation, max_rate, last_time, measured, t):
+    """One rate-limited geodesic step; the new rotation."""
+    rv = reference_rotation_log(rotation.T @ measured)
+    theta, max_step = float(np.linalg.norm(rv)), max_rate * (t - last_time)
+    stepped = (measured.copy() if theta <= max_step
+               else rotation @ rotation_exp(rv * (max_step / theta)))
+    return reference_orthonormalize(stepped)
 
 
 def reference_rotations_at(traj, ts):

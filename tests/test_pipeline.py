@@ -7,7 +7,7 @@ from dronepose import pipeline
 from dronepose.geom import (
     Pose,
     euler_to_rotation,
-    rotation_about_y,
+    rotation_about_x,
     rotation_about_z,
     rotation_angle,
 )
@@ -234,11 +234,13 @@ class TestCsvRoundTrip:
         assert np.allclose(a.rot_rmse_deg, b.rot_rmse_deg, atol=1e-9)
 
     def test_gimbal_lock_round_trip(self, tmp_path):
-        # pitch exactly +-90 deg: euler_xyz raises, export writes rz = 0
-        locked = [euler_to_rotation(0.0, np.pi / 2, 0.0),
-                  euler_to_rotation(0.4, np.pi / 2, -1.1),
-                  euler_to_rotation(-2.0, -np.pi / 2, 0.7),
-                  rotation_about_z(0.3) @ rotation_about_y(-np.pi / 2)]
+        # pitch exactly +-90 deg, the first column on the z axis: export writes rz = 0
+        up = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])   # Ry(90 deg)
+        locked = [up,
+                  rotation_about_z(-1.1) @ up @ rotation_about_x(0.4),
+                  rotation_about_z(0.7) @ up.T @ rotation_about_x(-2.0),
+                  rotation_about_z(0.3) @ up.T]
+        assert all(np.hypot(r[0, 0], r[1, 0]) == 0.0 for r in locked)
         rec = synthetic_record(n=len(locked))
         rec.est_rotations = np.array(locked)
         rec.truth_rotations = np.array(locked[::-1])
@@ -251,6 +253,23 @@ class TestCsvRoundTrip:
             cells = row.split(",")
             assert float(cells[9]) == 0.0 and float(cells[12]) == 0.0
         assert np.all(np.isfinite(compute_metrics(back).rot_rmse_deg))
+
+    @pytest.mark.parametrize("rz", [1.0, -2.5])
+    @pytest.mark.parametrize("off_lock", [9e-7, 1e-7, 1e-12])
+    @pytest.mark.parametrize("pitch_sign", [1.0, -1.0])
+    def test_near_gimbal_lock_round_trip(self, tmp_path, pitch_sign, off_lock, rz):
+        # within 1e-6 rad of the lock euler_xyz raises, yet the full triple still
+        # rebuilds the rotation; an rz = 0 form would be off by about off_lock
+        near = [euler_to_rotation(rx, pitch_sign * (np.pi / 2 - off_lock), rz)
+                for rx in (0.0, 0.4, -2.0)]
+        rec = synthetic_record(n=len(near))
+        rec.est_rotations = np.array(near)
+        rec.truth_rotations = np.array(near[::-1])
+        path = tmp_path / "trajectory.csv"
+        path.write_text(record_to_csv(rec))
+        back = record_from_csv(path)
+        assert np.max(np.abs(back.est_rotations - rec.est_rotations)) <= 1e-12
+        assert np.max(np.abs(back.truth_rotations - rec.truth_rotations)) <= 1e-12
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -275,7 +275,7 @@ class TestFanCull:
                 shift, spread, 20864):
             fans = scene.fan_candidates(fan_o, axes, spread, fan_drone, half)
             assert fans.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
-            got = scene.nearest_hit(origins, dirs, drone, half, fans)
+            got = scene.nearest_hit(origins, dirs, fan_drone, half, fans)   # a centre per fan
             assert np.array_equal(got, scene.nearest_hit(origins, dirs, drone, half))
             assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, half))
             culled += np.count_nonzero(~fans)

@@ -15,15 +15,17 @@ from dronepose.scan_sim import (
 )
 from dronepose.scenario import parse_scenario
 from dronepose.tracker import (
+    _SUPPORT_BLOCK,
     MeanShiftParams,
     TargetLostError,
     TrackState,
+    _support,
     acquire,
     mean_shift_refine,
     track_step,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import oracle_mean_shift
+from oracles import oracle_mean_shift, reference_support
 
 
 @pytest.fixture
@@ -103,6 +105,73 @@ class TestMeanShiftRefine:
         out = mean_shift_refine(pts, start, params)
         assert np.all(out >= support.min(axis=0) - 1e-12)
         assert np.all(out <= support.max(axis=0) + 1e-12)
+
+
+def at_radius_edge(rng, center, radius, n):
+    """Points whose distance from ``center`` rounds to within a few ulps of
+    ``radius``, kept only where sqrt(s) <= r and s <= r*r disagree (s the
+    squared distance as computed), so a squared-radius test drops them."""
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    ulps = rng.integers(-4, 5, size=n)[:, None] * np.spacing(radius)
+    pts = center + dirs * (radius + ulps)
+    s = np.sum((pts - center) ** 2, axis=1)
+    return pts[(np.sqrt(s) <= radius) != (s <= radius * radius)]
+
+
+class TestSupportSameBits:
+    """The support selection keeps the rows the row-wise norm test keeps, in order."""
+
+    @staticmethod
+    def check(pts, center, radius):
+        got = _support(pts, center, radius)
+        want = reference_support(pts, center, radius)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        return len(got)
+
+    def test_seeded_points(self, rng):
+        for radius in (0.05, 0.3, 1.0, 2.5):
+            for _ in range(20):
+                center = rng.uniform(-20.0, 20.0, size=3)
+                pts = center + rng.normal(scale=rng.choice([0.3, 1.0, 5.0]), size=(3000, 3))
+                self.check(pts, center, radius)
+
+    def test_where_squared_radius_test_disagrees(self, rng):
+        found = 0
+        for radius in rng.uniform(0.01, 3.0, size=200):
+            center = rng.uniform(-30.0, 30.0, size=3)
+            edge = at_radius_edge(rng, center, radius, 400)
+            pts = np.concatenate([edge, center + rng.normal(scale=radius, size=(200, 3))])
+            found += len(edge)
+            self.check(rng.permutation(pts), center, radius)
+        assert found > 100
+
+    def test_one_km_from_the_origin(self, rng):
+        for _ in range(20):
+            center = rng.normal(size=3)
+            center *= 1000.0 / np.linalg.norm(center)
+            pts = np.concatenate([center + rng.normal(scale=0.8, size=(2000, 3)),
+                                  at_radius_edge(rng, center, 1.0, 2000)])
+            assert self.check(pts, center, 1.0) > 0
+
+    @pytest.mark.parametrize("n", [_SUPPORT_BLOCK - 1, _SUPPORT_BLOCK, _SUPPORT_BLOCK + 1])
+    def test_block_boundaries(self, rng, n):
+        center = rng.uniform(-1.0, 1.0, size=3)
+        pts = center + rng.uniform(-1.2, 1.2, size=(n, 3))
+        pts[-5:] = at_radius_edge(rng, center, 1.0, 400)[:5]   # the last block's edge rows
+        self.check(pts, center, 1.0)
+
+    def test_empty_input_and_tiny_radius(self):
+        assert self.check(np.empty((0, 3)), np.zeros(3), 1.0) == 0
+        # |dx| > radius, yet dx * dx underflows to 0 and the norm test keeps the point
+        pts = np.array([[2e-200, 0.0, 0.0], [3e-100, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert self.check(pts, np.zeros(3), 1e-200) == 2
+
+    def test_acquisition_sweep(self, acquisition_sweep, rng):
+        points, scenario = acquisition_sweep
+        radius = scenario.meanshift.radius
+        for center in points[rng.integers(0, len(points), size=8)]:
+            assert self.check(points, center, radius) > 0
 
 
 class TestTrackStep:

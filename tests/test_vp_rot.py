@@ -3,6 +3,7 @@ import pytest
 
 from dronepose.geom import (
     Pose,
+    angle_between,
     orthonormalize,
     rotation_about_axis,
     rotation_about_x,
@@ -22,7 +23,15 @@ from dronepose.vp_rot import (
     filter_rotation,
     match_vds,
 )
-from oracles import oracle_match
+from oracles import (
+    oracle_match,
+    reference_angle_between,
+    reference_complete_vd,
+    reference_estimate_rotation,
+    reference_filter_rotation,
+    reference_match_vds,
+    reference_orthonormalize,
+)
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -361,3 +370,100 @@ class TestYawRecovery:
             assert k_init is not None
             errors.append(np.rad2deg(err))
         assert np.median(errors) < 10.0
+
+
+def same_outcome(fn, ref, *args):
+    """Both raise the same error, or both return bit-equal arrays; the result."""
+    try:
+        want = ref(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            fn(*args)
+        assert str(got.value) == str(exc)
+        return None
+    out = fn(*args)
+    assert np.array_equal(out, want) and out.dtype == want.dtype
+    return out
+
+
+def vd_cases(seed, n=400):
+    """(vehicle VDs, drone VDs, prior): noisy, unnormalized triples; drone
+    columns scrambled and sign-flipped; priors from exact to far past the
+    45-degree match limit; in every fifth case two directions are 10 degrees
+    apart, give or take rounding, so the estimate may find them collinear."""
+    rng = np.random.default_rng(seed)
+    for case in range(n):
+        truth = random_rotation(rng)
+        vehicle = random_rotation(rng)
+        noise = np.deg2rad(rng.choice([0.0, 1.0, 8.0]))
+        if case % 5 == 0:   # the first two at the 10-degree pair check
+            edge = np.deg2rad(10.0) + rng.choice([-1e-9, 0.0, 1e-9, 1e-3])
+            side = np.cross(vehicle[:, 0], rng.normal(size=3))
+            vehicle[:, 1] = rotation_about_axis(side, edge) @ vehicle[:, 0]
+            noise = 0.0
+        vg = vehicle + rng.normal(scale=noise, size=(3, 3))
+        vd = truth.T @ vehicle + rng.normal(scale=noise, size=(3, 3))
+        vd = vd[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+        vg = vg * 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+        prior = truth @ random_rotation(rng, max_angle=rng.choice([0.0, 0.3, 1.0, np.pi]))
+        yield vg, vd, prior
+
+
+class TestSameBitsAsReference:
+    """The 3x3 rotation work gives the same bits as before its numpy calls were cut."""
+
+    def test_match_estimate_filter(self):
+        outcomes = {"matched": 0, "ambiguous": 0, "collinear": 0}
+        rng = np.random.default_rng(77)
+        for vg, vd, prior in vd_cases(31):
+            try:
+                want = reference_match_vds(vg, vd, prior)
+            except AmbiguousMatchError as exc:
+                with pytest.raises(AmbiguousMatchError, match=str(exc)):
+                    match_vds(vg, vd, prior)
+                outcomes["ambiguous"] += 1
+                continue
+            match = match_vds(vg, vd, prior)
+            assert (match.permutation, match.signs) == want[:2]
+            assert np.array_equal(match.residuals, want[2])
+            measured = same_outcome(estimate_rotation, reference_estimate_rotation,
+                                    vg, match.apply(vd), match.residuals)
+            if measured is None:
+                outcomes["collinear"] += 1
+                continue
+            outcomes["matched"] += 1
+            state = RotationFilterState(random_rotation(rng, 0.5) @ prior, last_time=1.0)
+            t = 1.0 + rng.choice([1e-3, 0.12, 10.0])
+            got = filter_rotation(state, measured, t).rotation
+            want_rot = reference_filter_rotation(state.rotation, state.max_rate, 1.0, measured, t)
+            assert np.array_equal(got, want_rot)
+        assert min(outcomes.values()) > 10, outcomes
+
+    def test_complete_vd(self):
+        rng = np.random.default_rng(32)
+        raised = 0
+        for _ in range(2000):
+            v1 = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            angle = np.deg2rad(10.0) + rng.choice([-1e-12, 0.0, 1e-12, rng.uniform(0.0, 2.8)])
+            v2 = rotation_about_axis(np.cross(v1, rng.normal(size=3)), angle) @ v1
+            raised += same_outcome(complete_vd, reference_complete_vd, v1, v2) is None
+        assert 0 < raised < 2000
+
+    def test_orthonormalize_proper_and_reflected(self):
+        rng = np.random.default_rng(33)
+        for scale in (1e-9, 1e-3, 0.3, 3.0):
+            for _ in range(300):
+                m = random_rotation(rng) + rng.normal(scale=scale, size=(3, 3))
+                m[:, 2] *= rng.choice([-1.0, 1.0])   # half of them reflections
+                assert np.array_equal(orthonormalize(m), reference_orthonormalize(m))
+
+    def test_angle_between_at_the_clamp(self):
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            a = rng.normal(size=3)
+            b = a * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+            b = b + rng.choice([0.0, 1e-14, 1e-3]) * rng.normal(size=3)
+            assert angle_between(a, b) == reference_angle_between(a, b)
+        nan = np.array([np.nan, 1.0, 0.0])
+        assert np.isnan(angle_between(nan, (1.0, 0.0, 0.0)))
+        assert np.isnan(reference_angle_between(nan, (1.0, 0.0, 0.0)))
