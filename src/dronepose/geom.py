@@ -7,6 +7,7 @@ angles use the extrinsic X-Y-Z convention throughout, i.e. a triple
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +159,15 @@ _KEEP_LAST, _FLIP_LAST = np.diag([1.0, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])
 
 
 def orthonormalize(rotation) -> np.ndarray:
-    """Nearest proper rotation (Frobenius sense); cleans up filter drift."""
-    u, _, vt = np.linalg.svd(_vec(rotation))
+    """Nearest proper rotation (Frobenius sense); cleans up filter drift.
+
+    Raises ValueError on a non-finite entry: np.linalg.svd may never return
+    on an infinite one.
+    """
+    r = _vec(rotation)
+    if not all(map(math.isfinite, r.flat)):     # cheaper than np.isfinite on 9 entries
+        raise ValueError("cannot orthonormalize a matrix with a non-finite entry")
+    u, _, vt = np.linalg.svd(r)
     # u @ vt is orthogonal to rounding, so its determinant is +-1 within a few
     # ulps and the cofactor sum has the sign np.linalg.det would give.
     (a, b, c), (d, e, f), (g, h, i) = (u @ vt).tolist()

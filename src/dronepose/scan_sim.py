@@ -225,8 +225,9 @@ class Scene:
     on the rays that can meet its sphere (bounding-volume culling, Kay &
     Kajiya, SIGGRAPH 1986). Every (ray, primitive) distance is computed
     as without culling and the minimum is exact, so returns are
-    bit-identical. ``fan_candidates`` culls whole firings first, one cone
-    per firing (packet culling, Wald et al., Eurographics 2001).
+    bit-identical. ``fan_candidates`` culls whole firings first, by the
+    plane and the cone that hold each firing's rays (packet culling, Wald
+    et al., Eurographics 2001).
     """
 
     def __init__(self, primitives, seed: int = 0):
@@ -261,27 +262,42 @@ class Scene:
         self.bound_centers = np.array([c for c, _ in bounds], dtype=float).reshape(-1, 3)
         self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
-    def fan_candidates(self, origins, axes, spread, drone_centers=None, drone_half=0.0):
+    def fan_candidates(self, origins, u, v, beams, drone_centers=None, drone_half=0.0):
         """Which primitives each of F fans of rays can hit: (groups + rects + 1, F) bools.
 
-        Fan f holds rays from ``origins[f]`` within ``spread`` rad of the unit
-        ``axes[f]``. Rows follow ``groups``, then ``rects``, then the drone box
-        around ``drone_centers[f]``, and are False only where no ray of the fan
-        can hit. A ray hits a rectangle at z0 only when it points toward the
-        plane (``_ray_rect_z`` needs t > 0), and a fan's elevations lie within
-        ``spread`` of its axis'.
+        Fan f holds the rays cos(b) u[f] + sin(b) v[f] from ``origins[f]``, for
+        the elevations b in ``beams``; u[f] and v[f] are orthonormal. Rows follow
+        ``groups``, then ``rects``, then the drone box around ``drone_centers[f]``,
+        and are False only where no ray of the fan can hit (``_fan_may_hit``).
+
+        A ray hits a rectangle at z0 only when it points toward the plane
+        (``_ray_rect_z`` needs t > 0). A ray's z is cos(b) u_z + sin(b) v_z =
+        rho cos(b - beta), below zero on an open half-circle of b. An arc of
+        elevations shorter than pi cannot hold that half-circle strictly inside,
+        so one of its ends lies on it whenever any of its rays does: a fan
+        narrower than pi is kept when an end ray points toward the plane.
         """
+        lo, hi = beams.min(), beams.max()
+        spread = (hi - lo) / 2.0
+        axes = np.cos((hi + lo) / 2.0) * u + np.sin((hi + lo) / 2.0) * v
+        (ux, uy, uz), (vx, vy, vz) = u.T, v.T
+        normals = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx]).T
         rows = np.zeros((len(self.groups) + len(self.rects) + 1, len(origins)), dtype=bool)
         if self.groups:
-            rows[:len(self.groups)] = _may_hit(origins, axes, self.bound_centers[:, None],
-                                               self.bound_radii[:, None], spread)
-        lim = np.sin(min(spread + _FAN_SLACK, np.pi / 2.0))
-        oz, az = origins[:, 2], axes[:, 2]
+            rows[:len(self.groups)] = _fan_may_hit(origins, axes, normals,
+                                                   self.bound_centers[:, None],
+                                                   self.bound_radii[:, None], spread)
+        down = up = True
+        if spread < np.pi / 2.0:
+            z_lo, z_hi = np.cos(lo) * uz + np.sin(lo) * vz, np.cos(hi) * uz + np.sin(hi) * vz
+            down = np.minimum(z_lo, z_hi) <= _FAN_SLACK
+            up = np.maximum(z_lo, z_hi) >= -_FAN_SLACK
+        oz = origins[:, 2]
         for k, rect in enumerate(self.rects, start=len(self.groups)):
-            rows[k] = ((oz > rect[0]) & (az <= lim)) | ((oz < rect[0]) & (az >= -lim))
+            rows[k] = ((oz > rect[0]) & down) | ((oz < rect[0]) & up)
         if drone_centers is not None and drone_half > 0.0:
-            rows[-1] = _may_hit(origins, axes, drone_centers, _pad(np.sqrt(3.0) * drone_half),
-                                spread)
+            rows[-1] = _fan_may_hit(origins, axes, normals, drone_centers,
+                                    _pad(np.sqrt(3.0) * drone_half), spread)
         return rows
 
     def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0,
@@ -290,37 +306,31 @@ class Scene:
 
         ``fans``, if given, is ``fan_candidates``' rows for the F fans whose
         rays these are, laid out fan by fan; ``drone_centers`` then holds one
-        centre per fan rather than per ray. Each group and the drone box are
-        then tested only on the rays of the fans their rows keep. Ground
-        rectangles are tested on every ray, as most fans kept reach the
-        ground. ``t`` is the same, bit for bit, as without ``fans``.
+        centre per fan. Without ``fans`` each ray is a fan of its own that
+        every row keeps, with its own drone centre. Each group and the drone
+        box are tested only on the rays of the fans their rows keep that pass
+        the per-ray bound test. Ground rectangles are tested on every ray, as
+        most fans kept reach the ground. ``t`` is the same, bit for bit, as
+        testing every ray against every primitive.
         """
+        if fans is None:
+            fans = np.ones((len(self.groups) + len(self.rects) + 1, len(origins)), dtype=bool)
+        per_fan = len(origins) // max(fans.shape[1], 1)
         t = np.full(len(origins), np.inf)
-        cand = ()
-        if fans is not None:
-            per_fan = len(origins) // fans.shape[1]
-            cand = (_pass(origins, dirs, c, radius, _fan_rays(row, per_fan))
-                    for row, c, radius in zip(fans, self.bound_centers, self.bound_radii))
-        elif self.groups:
-            near = _may_hit(origins, dirs, self.bound_centers[:, None], self.bound_radii[:, None])
-            cand = (np.flatnonzero(rays) for rays in near)
-        for (exact, a, b), sel in zip(self.groups, cand):
+        for (exact, a, b), row, c, radius in zip(self.groups, fans, self.bound_centers,
+                                                 self.bound_radii):
+            sel = _pass(origins, dirs, c, radius, _fan_rays(row, per_fan))
             if len(sel):
                 t[sel] = np.minimum(t[sel], exact(np.take(origins, sel, axis=0),
                                                   np.take(dirs, sel, axis=0), a, b))
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            bound = _pad(np.sqrt(3.0) * drone_half)
-            if fans is None:
-                sel = np.flatnonzero(_may_hit(origins, dirs, drone_centers, bound))
-                c = np.take(drone_centers, sel, axis=0)
-            else:
-                rays = _fan_rays(fans[-1], per_fan)
-                sel = _pass(origins, dirs, np.take(drone_centers, rays // per_fan, axis=0),
-                            bound, rays)
-                c = np.take(drone_centers, sel // per_fan, axis=0)
+            rays = _fan_rays(fans[-1], per_fan)
+            sel = _pass(origins, dirs, np.take(drone_centers, rays // per_fan, axis=0),
+                        _pad(np.sqrt(3.0) * drone_half), rays)
             if len(sel):
+                c = np.take(drone_centers, sel // per_fan, axis=0)
                 t[sel] = np.minimum(t[sel], _ray_box(np.take(origins, sel, axis=0),
                                                      np.take(dirs, sel, axis=0),
                                                      c - drone_half, c + drone_half))
@@ -346,54 +356,64 @@ def _pad(radius):
     return radius * (1.0 + _BOUND_PAD) + _BOUND_PAD
 
 
-def _may_hit(origins, dirs, centers, radius, spread=None):
+def _may_hit(origins, dirs, centers, radius):
     """Broad phase: True where a ray (origin, unit direction) can meet a sphere
-    (center, radius) at a positive distance; the arrays broadcast.
-
-    With ``spread`` (rad), each direction is the axis of a fan, and the result
-    is True where any ray within ``spread`` of the axis may meet the sphere.
-
-    Why the fan test is exact. With w = center - origin, a ray d meets the
-    sphere iff the origin is inside or angle(d, w) <= asin(r / |w|), and a
-    ray within ``spread`` s of the axis has angle(axis, w) <= s + asin(r / |w|).
-    While that sum is below pi, which s < pi/2 ensures, this reads
-    w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here as for rays.
-    The radius is grown by the slack ``_FAN_SLACK (|w| + r + 1)``, over ten
-    times the reach of the ray test's rounding (a few 1e-8 |w| near the
-    sphere's surface), and the slack is also subtracted from the threshold,
-    covering the rounding of the axis and of this test. So a fan is dropped
-    only when no ray of it passes the ray test, and the rays of the fans kept
-    see the ray test and the exact tests with the same arithmetic on the same
-    bits. A fan of s >= pi/2 may cover more than a half-sphere and is kept.
-    """
-    if spread is not None and spread >= np.pi / 2.0:
-        return np.ones(np.broadcast_shapes(origins.shape[:-1], centers.shape[:-1],
-                                           np.shape(radius)), dtype=bool)
+    (center, radius) at a positive distance; the arrays broadcast."""
     wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
     ahead = wx * dirs[..., 0] + wy * dirs[..., 1] + wz * dirs[..., 2]
-    dist2 = wx * wx + wy * wy + wz * wz
-    if spread is None:
-        gap = dist2 - radius * radius
-    else:
-        slack = _FAN_SLACK * (np.sqrt(dist2) + radius + 1.0)
-        radius = radius + slack
-        ahead = ahead + np.sin(spread) * radius + slack
-        gap = np.cos(spread) ** 2 * (dist2 - radius * radius)
+    gap = wx * wx + wy * wy + wz * wz - radius * radius
     return (gap <= 0.0) | ((ahead >= 0.0) & (ahead * ahead >= gap))
 
 
+def _fan_may_hit(origins, axes, normals, centers, radius, spread):
+    """Fan phase: True where a ray of a fan may pass ``_may_hit`` for a sphere.
+
+    A fan's rays leave ``origins`` in the plane of unit normal ``normals``,
+    within ``spread`` rad of the unit ``axes``; the arrays broadcast. With
+    w = center - origin, a ray meets the sphere only if the plane does,
+    |w.normal| <= r, and only if the origin is inside or angle(d, w) <=
+    asin(r / |w|), so a fan's ray has angle(axis, w) <= s + asin(r / |w|).
+    While that sum is below pi, which s < pi/2 ensures, this reads
+    w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here as for rays;
+    a fan of s >= pi/2 gets the plane test alone. The radius is grown by the
+    slack ``_FAN_SLACK (|w| + r + 1)``, over ten times the reach of the ray
+    test's rounding (a few 1e-8 |w| near the sphere's surface) and far more
+    than a computed ray's distance from its fan's plane (a few ulps of its
+    length); the slack is also subtracted from the threshold, covering the
+    rounding of the axis, the normal and this test. So a fan is dropped only
+    when no ray of it passes the ray test, and the rays of the fans kept see
+    the ray test and the exact tests with the same arithmetic on the same bits.
+    """
+    wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
+    dist2 = wx * wx + wy * wy + wz * wz
+    slack = _FAN_SLACK * (np.sqrt(dist2) + (radius + 1.0))
+    radius = radius + slack
+    near = np.abs(wx * normals[..., 0] + wy * normals[..., 1] + wz * normals[..., 2]) <= radius
+    if spread >= np.pi / 2.0:
+        return near
+    ahead = (wx * axes[..., 0] + wy * axes[..., 1] + wz * axes[..., 2]
+             + np.sin(spread) * radius + slack)
+    # max(ahead, 0)^2 >= gap: gap <= 0, or ahead >= 0 and ahead^2 >= gap
+    gap = np.cos(spread) ** 2 * (dist2 - radius * radius)
+    return near & (np.square(np.maximum(ahead, 0.0)) >= gap)
+
+
 def _ray_spheres(origins, dirs, centers, radii):
-    oc = origins[None, :, :] - centers[:, None, :]
-    b = np.einsum("mnd,nd->mn", oc, dirs)
-    c = np.einsum("mnd,mnd->mn", oc, oc) - radii[:, None] ** 2
+    # Per-axis (m, n) products summed as (x + z) + y: numpy's einsum kernel adds a
+    # length-3 contraction in that order, so the bits match einsum's
+    # "mnd,nd->mn" and "mnd,mnd->mn" on the (m, n, 3) offsets; (x + y) + z would not.
+    ox, oy, oz = (origins[:, i] - centers[:, i, None] for i in range(3))
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    b = (ox * dx + oz * dz) + oy * dy
+    c = ((ox * ox + oz * oz) + oy * oy) - radii[:, None] ** 2
     disc = b * b - c
-    hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
+    sphere, ray = np.nonzero(disc >= 0.0)
+    b, sq = b[sphere, ray], np.sqrt(disc[sphere, ray])
     t1 = -b - sq
     t2 = -b + sq
-    t = np.where(hit & (t1 > _RAY_EPS), t1,
-                 np.where(hit & (t2 > _RAY_EPS), t2, np.inf))
-    return t.min(axis=0)
+    t = np.full(len(origins), np.inf)
+    np.minimum.at(t, ray, np.where(t1 > _RAY_EPS, t1, np.where(t2 > _RAY_EPS, t2, np.inf)))
+    return t
 
 
 def _ray_box(origins, dirs, lo, hi):
@@ -420,9 +440,11 @@ def _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy):
 def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     """Shared ray-casting loop.
 
-    The beams of one firing lie on one great circle, within ``spread`` of the
-    beam at the middle elevation. Per block of firings, ``Scene.fan_candidates``
-    tests that cone, and rays are built only for the firings it keeps, at most
+    Beam b of a firing points cos(b) u + sin(b) v, with u = R (sin a cos phi,
+    sin a sin phi, cos a) and v = R (-sin phi, cos phi, 0) for the vehicle
+    rotation R, spin angle a and motor angle phi, so the firing is a fan in
+    one plane. Per block of firings, ``Scene.fan_candidates`` culls the fans,
+    and rays are built only for the firings it keeps, at most
     ``_CHUNK_FIRINGS`` per ``nearest_hit`` call. A dropped firing has no return
     and draws no noise, and ``rng.normal`` gives the same stream in one call or
     several, so the points match a cast of every firing.
@@ -433,8 +455,6 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     beams = lidar.beam_elevations
     n_beams = len(beams)
     sb, cb = np.sin(beams), np.cos(beams)
-    mid = (beams.max() + beams.min()) / 2.0
-    spread = (beams.max() - beams.min()) / 2.0
     align_rot = trajectories.vehicle.rotation_at(t0)
     align_pos = trajectories.vehicle.position_at(t0)
     drone_half = drone.width / 2.0 if drone is not None else 0.0
@@ -451,29 +471,28 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         veh_pos = trajectories.vehicle.positions_at(times)
         drone_pos = trajectories.drone.positions_at(times) if drone is not None else None
 
-        # Each firing's fan axis, the beam at elevation ``mid``, in the world.
-        ax = np.cos(mid) * sa * cp - np.sin(mid) * sp
-        ay = np.cos(mid) * sa * sp + np.sin(mid) * cp
-        axes = np.einsum("fij,fj->fi", veh_rot, np.stack([ax, ay, np.cos(mid) * ca], axis=1))
-        fans = scene.fan_candidates(veh_pos, axes, spread, drone_pos, drone_half)
+        # The fan basis in the world, from per-axis products on R's (F,) entries,
+        # stored as (3, F) rows so that the per-axis reads of the cull are contiguous.
+        rows = [[veh_rot[:, i, j] for j in range(3)] for i in range(3)]
+        sa_cp, sa_sp = sa * cp, sa * sp
+        u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rows]).T
+        v = np.array([r1 * cp - r0 * sp for r0, r1, _ in rows]).T
+        fans = scene.fan_candidates(veh_pos, u, v, beams, drone_pos, drone_half)
         kept = np.flatnonzero(fans.any(axis=0))
 
         for start in range(0, len(kept), _CHUNK_FIRINGS):
             k = kept[start:start + _CHUNK_FIRINGS]
-            dirs = np.empty((len(k), n_beams, 3))
-            dirs[:, :, 0] = sa[k, None] * cb[None, :]
-            dirs[:, :, 1] = sb[None, :]
-            dirs[:, :, 2] = ca[k, None] * cb[None, :]
-            x = dirs[:, :, 0] * cp[k, None] - dirs[:, :, 1] * sp[k, None]
-            y = dirs[:, :, 0] * sp[k, None] + dirs[:, :, 1] * cp[k, None]
-            dirs[:, :, 0] = x
-            dirs[:, :, 1] = y
-
-            # One einsum per output axis sums the same products in the same order as
-            # one over all three axes, so the bits match; np.matmul's do not.
-            dirs_world = np.empty_like(dirs)
+            # Motor-frame directions, then the rotation by R written out as
+            # (R_i0 x + R_i2 z) + R_i1 y: the order in which einsum's kernel sums
+            # "fij,fbj->fbi", so the bits are the same.
+            sa_cb = sa[k, None] * cb
+            x = sa_cb * cp[k, None] - sb * sp[k, None]
+            y = sa_cb * sp[k, None] + sb * cp[k, None]
+            z = ca[k, None] * cb
+            rot = veh_rot[k, :, :, None]
+            dirs_world = np.empty((len(k), n_beams, 3))
             for i in range(3):
-                np.einsum("fj,fbj->fb", veh_rot[k, i], dirs, out=dirs_world[:, :, i])
+                dirs_world[:, :, i] = (rot[:, i, 0] * x + rot[:, i, 2] * z) + rot[:, i, 1] * y
             dirs_world = dirs_world.reshape(-1, 3)
             origins = np.repeat(veh_pos[k], n_beams, axis=0)
             drone_centers = drone_pos[k] if drone is not None else None

@@ -13,9 +13,11 @@ for bit.
 
 The cast oracle is the simulator's ray-casting loop as it was before its
 per-chunk work was cut: one ``rotation_log`` per trajectory segment and
-chunk, and one einsum over all three direction axes. It shares
-``Scene.nearest_hit`` and ``positions_at`` with the library and pins the
-bits of everything the rewrite touched.
+chunk, one einsum over all three direction axes, and every ray of every
+firing tested against every primitive (``dense_nearest_hit``, whose
+ray-sphere test keeps its einsum form). It shares no culling code with the
+library, only the slab and ground-rectangle tests and ``positions_at``,
+and pins the bits of everything the rewrites touched.
 """
 
 import math
@@ -24,7 +26,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dronepose.geom import rotation_exp, rotation_log
-from dronepose.scan_sim import _CHUNK_FIRINGS, ScanFrame
+from dronepose.scan_sim import _CHUNK_FIRINGS, _RAY_EPS, ScanFrame, _ray_box, _ray_rect_z
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
 
@@ -245,6 +247,41 @@ def reference_rotations_at(traj, ts):
     return out
 
 
+def reference_ray_spheres(origins, dirs, centers, radii):
+    """Nearest positive hit of each ray over all spheres, from einsums on the
+    (m, n, 3) offsets."""
+    oc = origins[None, :, :] - centers[:, None, :]
+    b = np.einsum("mnd,nd->mn", oc, dirs)
+    c = np.einsum("mnd,mnd->mn", oc, oc) - radii[:, None] ** 2
+    disc = b * b - c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t1 = -b - sq
+    t2 = -b + sq
+    t = np.where(hit & (t1 > _RAY_EPS), t1,
+                 np.where(hit & (t2 > _RAY_EPS), t2, np.inf))
+    return t.min(axis=0)
+
+
+def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
+    """``Scene.nearest_hit`` without culling: every ray against every primitive,
+    and against the drone box around its own ``drone_centers`` row."""
+    t = np.full(len(origins), np.inf)
+    if len(scene.sphere_centers):
+        t = np.minimum(t, reference_ray_spheres(origins, dirs, scene.sphere_centers,
+                                                scene.sphere_radii))
+    for prim in scene.primitives:
+        c, half = prim.center, prim.dimensions / 2.0
+        if prim.kind == "box":
+            t = np.minimum(t, _ray_box(origins, dirs, c - half, c + half))
+        elif prim.kind == "ground_plane":
+            t = np.minimum(t, _ray_rect_z(origins, dirs, c[2], c[0], c[1], half[0], half[1]))
+    if drone_centers is not None and drone_half > 0.0:
+        t = np.minimum(t, _ray_box(origins, dirs, drone_centers - drone_half,
+                                   drone_centers + drone_half))
+    return t
+
+
 def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     """``scan_sim._cast`` with the same signature, in its per-chunk form."""
     if lidar.range_noise > 0.0 and rng is None:
@@ -280,7 +317,7 @@ def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rn
         drone_centers = (np.repeat(trajectories.drone.positions_at(times), n_beams, axis=0)
                          if drone is not None else None)
 
-        t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half)
+        t_hit = dense_nearest_hit(scene, origins, dirs_world, drone_centers, drone_half)
         ok = np.isfinite(t_hit) & (t_hit <= lidar.max_range)
         ranges = t_hit[ok]
         if lidar.range_noise > 0.0 and len(ranges):

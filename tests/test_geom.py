@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,22 @@ class TestOrthonormalize:
     def test_identity_on_rotations(self, rng):
         r = random_rotation(rng)
         assert np.max(np.abs(orthonormalize(r) - r)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_raises_at_once(self, bad):
+        # np.linalg.svd does not return on an infinite entry, and a Python signal
+        # handler cannot interrupt it there, so the alarm keeps its default action
+        # and ends the process: a hang cannot pass unseen.
+        previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.alarm(5)
+        try:
+            r = np.eye(3)
+            r[0, 0] = bad       # the input on which the SVD was seen not to return
+            with pytest.raises(ValueError, match="non-finite"):
+                orthonormalize(r)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestPose:

@@ -19,10 +19,9 @@ from dronepose.scan_sim import (
     _pad,
     _ray_box,
     _ray_rect_z,
-    _ray_spheres,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import reference_cast, reference_rotations_at
+from oracles import dense_nearest_hit, reference_cast, reference_rotations_at
 
 VIBRATE_AMPLITUDE = np.deg2rad(5.0)
 VIBRATE_PERIOD = 0.12    # s
@@ -60,23 +59,6 @@ class TestPrimitives:
         b = Scene([prim], seed=9)
         assert np.array_equal(a.sphere_centers, b.sphere_centers)
         assert np.all(np.linalg.norm(a.sphere_centers - (5, 5, 5), axis=1) <= 2.0)
-
-
-def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
-    """Reference without culling: every ray against every primitive."""
-    t = np.full(len(origins), np.inf)
-    if len(scene.sphere_centers):
-        t = np.minimum(t, _ray_spheres(origins, dirs, scene.sphere_centers, scene.sphere_radii))
-    for prim in scene.primitives:
-        c, half = prim.center, prim.dimensions / 2.0
-        if prim.kind == "box":
-            t = np.minimum(t, _ray_box(origins, dirs, c - half, c + half))
-        elif prim.kind == "ground_plane":
-            t = np.minimum(t, _ray_rect_z(origins, dirs, c[2], c[0], c[1], half[0], half[1]))
-    if drone_centers is not None and drone_half > 0.0:
-        t = np.minimum(t, _ray_box(origins, dirs, drone_centers - drone_half,
-                                   drone_centers + drone_half))
-    return t
 
 
 def unit(v):
@@ -231,79 +213,123 @@ class TestBroadPhase:
             assert np.array_equal(scene.nearest_hit(o, d), dense_nearest_hit(scene, o, d))
 
 
-def fans_through(rng, origins, rays, spread, per_fan):
-    """Fans of ``per_fan`` rays from ``origins``: the first ray of each is the
-    given one, the others lie on a great circle through it, evenly spread
-    over the ``2 spread`` wide arc around the fan's axis. Every fourth axis
-    puts the given ray on the arc's edge. Returns the fans' axes and their
-    rays' origins and directions, laid out fan by fan."""
-    side = unit(np.cross(rays, rng.normal(size=rays.shape)))
-    shift = rng.uniform(-spread, spread, len(rays))
-    shift[::4] = spread
-    axes = np.cos(shift)[:, None] * rays + np.sin(shift)[:, None] * side
-    arc = shift[:, None] + np.linspace(-spread, spread, per_fan - 1)
-    rest = np.cos(arc)[..., None] * rays[:, None] + np.sin(arc)[..., None] * side[:, None]
-    dirs = np.concatenate([rays[:, None], rest], axis=1).reshape(-1, 3)
-    return axes, np.repeat(origins, per_fan, axis=0), dirs
+def planar_fans(rng, origins, rays, beams, normals=None):
+    """Fans of rays cos(b) u + sin(b) v from ``origins``, one per given ray,
+    for the elevations b in ``beams``, from seeded orthonormal u and v. The
+    given ray is one of the fan's beams (the first or the last for every
+    fourth fan), and the fan's plane holds it and is normal to ``normals``
+    (random by default). Returns u, v and the fans' rays' origins and
+    directions, laid out fan by fan."""
+    if normals is None:
+        normals = rng.normal(size=rays.shape)
+    side = unit(np.cross(normals, rays))
+    j = rng.integers(0, len(beams), len(rays))
+    j[::4] = rng.choice((0, len(beams) - 1), len(j[::4]))
+    cj, sj = np.cos(beams[j])[:, None], np.sin(beams[j])[:, None]
+    u, v = cj * rays - sj * side, sj * rays + cj * side
+    dirs = np.cos(beams)[None, :, None] * u[:, None] + np.sin(beams)[None, :, None] * v[:, None]
+    return u, v, np.repeat(origins, len(beams), axis=0), dirs.reshape(-1, 3)
+
+
+def plane_grazing_rays(rng, centers, radii):
+    """For each sphere, rays in planes at distance r (1 -+ 1e-9) from its center,
+    aimed at the plane's nearest point to it from 1-30 m away; returns the
+    origins, the directions and the planes' normals. The first half of the
+    planes cut the sphere, the second half miss it."""
+    centers, radii = np.tile(centers, (2, 1)), np.tile(radii, 2)
+    normals = unit(rng.normal(size=centers.shape))
+    along = unit(np.cross(normals, rng.normal(size=centers.shape)))
+    gap = radii * np.repeat([1.0 - 1e-9, 1.0 + 1e-9], len(radii) // 2)
+    foot = centers - gap[:, None] * normals
+    return foot - rng.uniform(1.0, 30.0, (len(centers), 1)) * along, along, normals
+
+
+def fan_scene(rng, shift):
+    """``random_scene`` with a ceiling rectangle, so fans meet rectangles from
+    above and from below."""
+    scene = random_scene(rng, shift)
+    return Scene(scene.primitives + [ScenePrimitive("ground_plane", shift + (2.0, -3.0, 8.0),
+                                                    (30.0, 40.0, 1.0))],
+                 seed=int(rng.integers(100)))
 
 
 # Fan half-angles: a single ray, the LiDAR's 15 degrees, wide, either side of
-# pi/2 (where the cone test gives way to keeping every fan), and past pi.
+# pi/2 (where the end-ray rule for rectangles gives way to keeping every fan
+# and the cone test to the plane test alone), past pi, and the half-angles of
+# spans of 15, 80, 89, 91, 179, 200 and 400 degrees.
 FAN_SPREADS = {"ray": 0.0, "lidar": np.deg2rad(15.0), "wide": 1.2,
-               "under_half_pi": np.pi / 2 - 1e-9, "over_half_pi": np.pi / 2 + 1e-9, "past_pi": 3.5}
+               "under_half_pi": np.pi / 2 - 1e-9, "over_half_pi": np.pi / 2 + 1e-9, "past_pi": 3.5,
+               **{f"span_{span}": np.deg2rad(span / 2.0)
+                  for span in (15, 80, 89, 91, 179, 200, 400)}}
 
 
 class TestFanCull:
     """The fan-level broad phase drops no ray that the per-ray test keeps."""
 
     @staticmethod
-    def fan_cases(shift, spread, seed, per_fan=5):
+    def fan_cases(shift, spread, seed):
+        """Planar fans of 2 and 16 beams with elevations centred on 0.3 rad,
+        through the broad phase's edge-case rays and along planes grazing
+        every bound, in scenes with a ground and a ceiling rectangle."""
         rng = np.random.default_rng(seed)
-        for half in (0.05, 0.25, 1.5):
-            scene = random_scene(rng, shift)
+        for half, per_fan in ((0.05, 16), (0.25, 2), (1.5, 16)):
+            beams = 0.3 + np.linspace(-spread, spread, per_fan)
+            scene = fan_scene(rng, shift)
             rays_o, rays_d = edge_case_rays(rng, scene, shift)
-            axes, origins, dirs = fans_through(rng, rays_o, rays_d, spread, per_fan)
-            drone = rays_o + 6.0 * rays_d + rng.normal(0.0, 2.0 * half, rays_o.shape)
-            drone[::7] = rays_o[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
-            yield scene, half, rays_o, axes, drone, origins, dirs, np.repeat(drone, per_fan, axis=0)
+            graze_o, graze_d, graze_n = plane_grazing_rays(rng, scene.bound_centers,
+                                                           scene.bound_radii)
+            u, v, origins, dirs = planar_fans(rng, rays_o, rays_d, beams)
+            gu, gv, g_origins, g_dirs = planar_fans(rng, graze_o, graze_d, beams, graze_n)
+            fan_o = np.concatenate([rays_o, graze_o])
+            drone = fan_o + 6.0 * np.concatenate([rays_d, graze_d]) + rng.normal(
+                0.0, 2.0 * half, fan_o.shape)
+            drone[::7] = fan_o[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
+            yield (scene, half, beams, fan_o, np.concatenate([u, gu]), np.concatenate([v, gv]),
+                   drone, np.concatenate([origins, g_origins]), np.concatenate([dirs, g_dirs]))
 
     @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
     @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
     def test_nearest_hit_with_fans_is_bit_identical(self, shift, spread):
         culled = 0
-        for scene, half, fan_o, axes, fan_drone, origins, dirs, drone in self.fan_cases(
+        for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
                 shift, spread, 20864):
-            fans = scene.fan_candidates(fan_o, axes, spread, fan_drone, half)
+            fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
             assert fans.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
             got = scene.nearest_hit(origins, dirs, fan_drone, half, fans)   # a centre per fan
+            drone = np.repeat(fan_drone, len(beams), axis=0)
             assert np.array_equal(got, scene.nearest_hit(origins, dirs, drone, half))
             assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, half))
             culled += np.count_nonzero(~fans)
-        assert (culled > 0) == (spread < np.pi / 2)
+        assert culled > 0
 
     @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
     @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
     def test_every_ray_kept_lies_in_a_fan_kept(self, shift, spread):
-        per_fan = 5
-        for scene, half, fan_o, axes, fan_drone, origins, dirs, drone in self.fan_cases(
-                shift, spread, 20865, per_fan):
-            fans = scene.fan_candidates(fan_o, axes, spread, fan_drone, half)
+        for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
+                shift, spread, 20865):
+            fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
+            drone = np.repeat(fan_drone, len(beams), axis=0)
             rays = [_may_hit(origins, dirs, c, r)
                     for c, r in zip(scene.bound_centers, scene.bound_radii)]
             rays += [np.isfinite(_ray_rect_z(origins, dirs, *rect)) for rect in scene.rects]
             rays.append(_may_hit(origins, dirs, drone, _pad(np.sqrt(3.0) * half)))
             for row, ray_kept in zip(fans, rays):
-                assert not np.any(ray_kept.reshape(-1, per_fan).any(axis=1) & ~row)
+                assert not np.any(ray_kept.reshape(-1, len(beams)).any(axis=1) & ~row)
+            # each fan in a plane cutting a bound by 1e-9 r holds a ray that meets it
+            first_cut = len(fan_o) - 2 * len(scene.bound_centers)
+            for g in range(len(scene.bound_centers)):
+                assert rays[g].reshape(-1, len(beams))[first_cut + g].any()
 
     def test_ground_seen_from_below(self):
         # a ceiling: fans from below reach it only when some ray points up
         scene = Scene([ScenePrimitive("ground_plane", (0.0, 0.0, 10.0), (40.0, 40.0, 1.0))])
-        spread = np.deg2rad(15.0)
-        elevations = np.deg2rad([-60.0, -16.0, -14.0, 0.0, 30.0])
-        axes = np.stack([np.cos(elevations), np.zeros(5), np.sin(elevations)], axis=1)
-        below = scene.fan_candidates(np.zeros((5, 3)), axes, spread)
-        above = scene.fan_candidates(np.tile([0.0, 0.0, 20.0], (5, 1)), axes, spread)
-        level = scene.fan_candidates(np.tile([0.0, 0.0, 10.0], (5, 1)), axes, spread)
+        beams = np.deg2rad(np.linspace(-15.0, 15.0, 16))
+        e = np.deg2rad([-60.0, -16.0, -14.0, 0.0, 30.0])
+        u = np.stack([np.cos(e), np.zeros(5), np.sin(e)], axis=1)   # the fans' axes
+        v = np.stack([-np.sin(e), np.zeros(5), np.cos(e)], axis=1)  # rays rise toward v
+        below = scene.fan_candidates(np.zeros((5, 3)), u, v, beams)
+        above = scene.fan_candidates(np.tile([0.0, 0.0, 20.0], (5, 1)), u, v, beams)
+        level = scene.fan_candidates(np.tile([0.0, 0.0, 10.0], (5, 1)), u, v, beams)
         assert below[0].tolist() == [False, False, True, True, True]
         assert above[0].tolist() == [True, True, True, True, False]
         assert not level[0].any()
@@ -567,8 +593,10 @@ class TestCastMatchesReference:
 
 
 # Beam layouts as ``scenario`` builds them: (lidar.elevation_span_deg, lidar.beam_count).
-# Spans of 200 and 400 degrees give fans wider than a half-sphere.
-BEAM_LAYOUTS = [(span, count) for span in (0.0, -30.0, 179.0, 200.0, 400.0) for count in (2, 16)]
+# Spans of 200 and 400 degrees give fans wider than a half-sphere; spans of 89, 90 and 91
+# degrees lie either side of where the pointing bound on a fan's rays reaches the zenith.
+BEAM_LAYOUTS = [(span, count) for span in (0.0, -30.0, 89.0, 90.0, 91.0, 179.0, 200.0, 400.0)
+                for count in (2, 16)]
 
 
 def tilted_world():
@@ -605,6 +633,53 @@ class TestCastBeamLayouts:
                               SWEEP_OMEGA, CAST_START, drone=DroneModel())
         assert len(got) > 1000
         assert np.array_equal(got, ref)
+
+
+class TestBenchmarkHooks:
+    """perfbench counts ``scan_sim.*.rays`` from ``len(origins)`` of each
+    ``Scene.nearest_hit`` call, samples machine speed on that call, and places
+    its cold-start drones with a single-ray call."""
+
+    def test_every_kept_ray_passes_through_nearest_hit(self, monkeypatch):
+        calls, kept = [], []
+        real_hit, real_fans = Scene.nearest_hit, Scene.fan_candidates
+
+        def nearest_hit(scene, origins, dirs, *args, **kwargs):
+            calls.append((len(origins), len(dirs)))
+            return real_hit(scene, origins, dirs, *args, **kwargs)
+
+        def fan_candidates(scene, *args, **kwargs):
+            rows = real_fans(scene, *args, **kwargs)
+            kept.append(np.count_nonzero(rows.any(axis=0)))
+            return rows
+
+        monkeypatch.setattr(Scene, "nearest_hit", nearest_hit)
+        monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)
+        traj = Trajectories(drone=CAST_DRONES["moving"](), vehicle=CAST_VEHICLES["yawing"]())
+        for lidar, simulate, args in (
+                (LidarModel(), simulate_vibration_frame,
+                 (DRONE_AZIMUTH, VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START)),
+                (LidarModel(points_per_second=40000.0), simulate_full_scan,
+                 (SWEEP_OMEGA, CAST_START))):
+            calls.clear()
+            kept.clear()
+            frame = simulate(cast_scene(), traj, lidar, *args, drone=DroneModel())
+            assert len(frame) > 1000 and len(calls) > 1
+            assert all(n_origins == n_dirs for n_origins, n_dirs in calls)
+            assert sum(n for n, _ in calls) == sum(kept) * len(lidar.beam_elevations)
+
+    def test_single_ray_call(self):
+        rng = np.random.default_rng(20866)
+        scene = cast_scene()
+        sensor = np.array([0.0, 0.0, 1.5])
+        hits = 0
+        for _ in range(200):
+            d = unit(rng.normal(size=3) + (0.0, 0.0, 0.5))
+            got = scene.nearest_hit(sensor[None], d[None])
+            assert got.shape == (1,)
+            assert np.array_equal(got, dense_nearest_hit(scene, sensor[None], d[None]))
+            hits += np.isfinite(got[0])
+        assert 20 < hits < 200
 
 
 class TestCastWork:
