@@ -29,7 +29,7 @@ _RAY_EPS = 1e-9
 _BOUND_PAD = 1e-6     # relative and absolute (m) growth of bounding spheres
 _FAN_SLACK = 1e-6     # relative and absolute (m) margin of the fan test; rad for planes
 _BLOCK_FIRINGS = 2560  # firings culled together; holds a default vibration frame
-_CHUNK_FIRINGS = 512   # most kept firings per nearest_hit call
+_CHUNK_FIRINGS = 1024  # most kept firings per nearest_hit call
 
 
 @dataclass
@@ -143,36 +143,45 @@ class TrajectorySpec:
                           for r0, r1 in zip(self.rotations[:-1], self.rotations[1:])]
 
     def positions_at(self, ts) -> np.ndarray:
+        """(n, 3) positions at ``ts``, the transpose of C-ordered (3, n) per-axis rows."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.stack([np.interp(ts, self.times, self.positions[:, i]) for i in range(3)], axis=1)
+        return np.array([np.interp(ts, self.times, self.positions[:, i]) for i in range(3)]).T
 
     def position_at(self, t: float) -> np.ndarray:
         return self.positions_at([t])[0]
 
-    def rotations_at(self, ts) -> np.ndarray:
+    def rotation_rows(self, ts):
+        """R[i][j] at times ``ts`` (clamped) as a (3, 3, n) array of per-entry rows,
+        or as nested lists of floats when every time lies on one constant segment."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         seg = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
-        out = np.empty((len(ts), 3, 3))
         if len(ts) and seg.min() == seg.max():
-            out[:] = self._segment_rotations(seg[0], ts)
-            return out
+            return self._segment_rows(seg[0], ts)
+        out = np.empty((3, 3, len(ts)))
         for s in np.unique(seg):
             sel = seg == s
-            out[sel] = self._segment_rotations(s, ts[sel])
+            out[:, :, sel] = np.reshape(self._segment_rows(s, ts[sel]), (3, 3, -1))
         return out
 
-    def _segment_rotations(self, s, ts):
-        """Rotations at times ``ts`` (clamped) on segment ``s``: (n, 3, 3), or
-        the segment's constant (3, 3) rotation."""
+    def _segment_rows(self, s, ts):
+        """Rodrigues' formula on segment ``s``, entry by entry: B = (I + sin K) +
+        (1 - cos) K^2, then R[i][c] = (r0[i,0] B[0][c] + r0[i,1] B[1][c]) +
+        r0[i,2] B[2][c], the order in which einsum's kernel sums "ij,njk->nik"."""
         r0 = self.rotations[s]
         if self._segments[s] is None:
-            return r0
+            return r0.tolist()
         theta, k, k2 = self._segments[s]
-        u = np.clip((ts - self.times[s]) / (self.times[s + 1] - self.times[s]), 0.0, 1.0)
-        ang = u * theta
-        blend = (np.eye(3)[None] + np.sin(ang)[:, None, None] * k
-                 + (1.0 - np.cos(ang))[:, None, None] * k2)
-        return np.einsum("ij,njk->nik", r0, blend)
+        ang = np.clip((ts - self.times[s]) / (self.times[s + 1] - self.times[s]), 0.0, 1.0) * theta
+        b = ((np.eye(3)[:, :, None] + k[:, :, None] * np.sin(ang))
+             + k2[:, :, None] * (1.0 - np.cos(ang)))
+        r0 = r0[:, :, None, None]
+        return (r0[:, 0] * b[0] + r0[:, 1] * b[1]) + r0[:, 2] * b[2]
+
+    def rotations_at(self, ts) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        out = np.empty((len(ts), 3, 3))
+        out[:] = np.reshape(self.rotation_rows(ts), (3, 3, -1)).transpose(2, 0, 1)
+        return out
 
     def rotation_at(self, t: float) -> np.ndarray:
         return self.rotations_at([t])[0]
@@ -304,35 +313,43 @@ class Scene:
                     fans=None):
         """Smallest positive hit distance per ray (inf = no hit).
 
+        ``origins`` and ``dirs`` are (n, 3) in any layout; the cast passes the
+        transposes of C-ordered (3, n) per-axis rows, which are read without a
+        copy, and every gather takes whole rows (``np.take(rows, sel, axis=1)``).
         ``fans``, if given, is ``fan_candidates``' rows for the F fans whose
         rays these are, laid out fan by fan; ``drone_centers`` then holds one
-        centre per fan. Without ``fans`` each ray is a fan of its own that
+        centre per fan. Without ``fans`` every ray is a fan of its own that
         every row keeps, with its own drone centre. Each group and the drone
         box are tested only on the rays of the fans their rows keep that pass
         the per-ray bound test. Ground rectangles are tested on every ray, as
         most fans kept reach the ground. ``t`` is the same, bit for bit, as
         testing every ray against every primitive.
         """
-        if fans is None:
-            fans = np.ones((len(self.groups) + len(self.rects) + 1, len(origins)), dtype=bool)
-        per_fan = len(origins) // max(fans.shape[1], 1)
+        o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
+        every = np.arange(len(origins))
+        per_fan = 1 if fans is None else len(origins) // max(fans.shape[1], 1)
+
+        def rays(row):
+            return every if fans is None else _fan_rays(fans[row], per_fan)
+
         t = np.full(len(origins), np.inf)
-        for (exact, a, b), row, c, radius in zip(self.groups, fans, self.bound_centers,
-                                                 self.bound_radii):
-            sel = _pass(origins, dirs, c, radius, _fan_rays(row, per_fan))
+        for g, ((exact, a, b), c, radius) in enumerate(zip(self.groups, self.bound_centers,
+                                                           self.bound_radii)):
+            sel = _pass(o, d, c, radius, rays(g))
             if len(sel):
-                t[sel] = np.minimum(t[sel], exact(np.take(origins, sel, axis=0),
-                                                  np.take(dirs, sel, axis=0), a, b))
+                t[sel] = np.minimum(t[sel], exact(np.take(o, sel, axis=1).T,
+                                                  np.take(d, sel, axis=1).T, a, b))
         for z0, cx, cy, hx, hy in self.rects:
-            t = np.minimum(t, _ray_rect_z(origins, dirs, z0, cx, cy, hx, hy))
+            t = np.minimum(t, _ray_rect_z(o.T, d.T, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            rays = _fan_rays(fans[-1], per_fan)
-            sel = _pass(origins, dirs, np.take(drone_centers, rays // per_fan, axis=0),
-                        _pad(np.sqrt(3.0) * drone_half), rays)
+            centers = np.ascontiguousarray(drone_centers.T)
+            sel = rays(-1)
+            sel = _pass(o, d, np.take(centers, sel // per_fan, axis=1).T,
+                        _pad(np.sqrt(3.0) * drone_half), sel)
             if len(sel):
-                c = np.take(drone_centers, sel // per_fan, axis=0)
-                t[sel] = np.minimum(t[sel], _ray_box(np.take(origins, sel, axis=0),
-                                                     np.take(dirs, sel, axis=0),
+                c = np.take(centers, sel // per_fan, axis=1).T
+                t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
+                                                     np.take(d, sel, axis=1).T,
                                                      c - drone_half, c + drone_half))
         return t
 
@@ -342,13 +359,12 @@ def _fan_rays(row, per_fan):
     return (np.flatnonzero(row)[:, None] * per_fan + np.arange(per_fan)).ravel()
 
 
-def _pass(origins, dirs, centers, radius, rays):
-    """The ``rays`` (indices) that pass ``_may_hit``; one center, or one per ray.
-    np.take gathers rows of an (n, 3) array several times faster than a[rays]."""
+def _pass(o, d, centers, radius, rays):
+    """The ``rays`` (indices) that pass ``_may_hit``, gathered from the (3, n) rows
+    ``o`` and ``d``; one center, or one per ray."""
     if not len(rays):
         return rays
-    near = _may_hit(np.take(origins, rays, axis=0), np.take(dirs, rays, axis=0), centers, radius)
-    return rays[near]
+    return rays[_may_hit(np.take(o, rays, axis=1).T, np.take(d, rays, axis=1).T, centers, radius)]
 
 
 def _pad(radius):
@@ -417,13 +433,16 @@ def _ray_spheres(origins, dirs, centers, radii):
 
 
 def _ray_box(origins, dirs, lo, hi):
-    d = np.where(dirs == 0.0, 1e-300, dirs)
-    t1 = (lo - origins) / d
-    t2 = (hi - origins) / d
-    lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
-    # Column-wise max and min: exact like a reduction over axis 1, and cheaper.
-    t_near = np.maximum(np.maximum(lo_t[:, 0], lo_t[:, 1]), lo_t[:, 2])
-    t_far = np.minimum(np.minimum(hi_t[:, 0], hi_t[:, 1]), hi_t[:, 2])
+    """Slab test, axis by axis: (n, 3) ``origins`` and ``dirs`` in any layout,
+    ``lo`` and ``hi`` (3,) or (n, 3). The slabs' max and min are taken over the
+    axes in turn, exact like a reduction over axis 1."""
+    t_near, t_far = -np.inf, np.inf
+    for i in range(3):
+        di = np.where(dirs[:, i] == 0.0, 1e-300, dirs[:, i])
+        t1 = (lo[..., i] - origins[:, i]) / di
+        t2 = (hi[..., i] - origins[:, i]) / di
+        t_near = np.maximum(t_near, np.minimum(t1, t2))
+        t_far = np.minimum(t_far, np.maximum(t1, t2))
     hit = (t_far >= t_near) & (t_near > _RAY_EPS)
     return np.where(hit, t_near, np.inf)
 
@@ -448,6 +467,11 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     ``_CHUNK_FIRINGS`` per ``nearest_hit`` call. A dropped firing has no return
     and draws no noise, and ``rng.normal`` gives the same stream in one call or
     several, so the points match a cast of every firing.
+
+    Ray data stays in per-axis rows: R as nine (F,) rows (floats while the
+    vehicle rotation is constant), origins and directions as (3, n) rows whose
+    transposes go to ``nearest_hit``, and each chunk's returns written into one
+    output array, of which only the pages the returns land on are touched.
     """
     if lidar.range_noise > 0.0 and rng is None:
         raise ValueError("range noise requires an rng")
@@ -459,7 +483,8 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     align_pos = trajectories.vehicle.position_at(t0)
     drone_half = drone.width / 2.0 if drone is not None else 0.0
 
-    all_points = []
+    points = np.empty((n_firings * n_beams, 3))
+    n_points = 0
     for block in range(0, n_firings, _BLOCK_FIRINGS):
         idx = np.arange(block, min(block + _BLOCK_FIRINGS, n_firings))
         times = t0 + idx * lidar.firing_interval
@@ -467,16 +492,13 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         sa, ca = np.sin(alpha), np.cos(alpha)
         phi = angle_fn(times)
         cp, sp = np.cos(phi), np.sin(phi)
-        veh_rot = trajectories.vehicle.rotations_at(times)
+        rot = trajectories.vehicle.rotation_rows(times)
         veh_pos = trajectories.vehicle.positions_at(times)
         drone_pos = trajectories.drone.positions_at(times) if drone is not None else None
 
-        # The fan basis in the world, from per-axis products on R's (F,) entries,
-        # stored as (3, F) rows so that the per-axis reads of the cull are contiguous.
-        rows = [[veh_rot[:, i, j] for j in range(3)] for i in range(3)]
         sa_cp, sa_sp = sa * cp, sa * sp
-        u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rows]).T
-        v = np.array([r1 * cp - r0 * sp for r0, r1, _ in rows]).T
+        u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rot]).T
+        v = np.array([r1 * cp - r0 * sp for r0, r1, _ in rot]).T
         fans = scene.fan_candidates(veh_pos, u, v, beams, drone_pos, drone_half)
         kept = np.flatnonzero(fans.any(axis=0))
 
@@ -489,27 +511,29 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
             x = sa_cb * cp[k, None] - sb * sp[k, None]
             y = sa_cb * sp[k, None] + sb * cp[k, None]
             z = ca[k, None] * cb
-            rot = veh_rot[k, :, :, None]
-            dirs_world = np.empty((len(k), n_beams, 3))
-            for i in range(3):
-                dirs_world[:, :, i] = (rot[:, i, 0] * x + rot[:, i, 2] * z) + rot[:, i, 1] * y
-            dirs_world = dirs_world.reshape(-1, 3)
-            origins = np.repeat(veh_pos[k], n_beams, axis=0)
+            rot_k = rot if isinstance(rot, list) else rot[:, :, k, None]
+            dirs = np.empty((3, len(k), n_beams))
+            for i, (r0, r1, r2) in enumerate(rot_k):
+                dirs[i] = (r0 * x + r2 * z) + r1 * y
+            dirs = dirs.reshape(3, -1)
+            origins = np.repeat(veh_pos.T[:, k], n_beams, axis=1)
             drone_centers = drone_pos[k] if drone is not None else None
 
-            t_hit = scene.nearest_hit(origins, dirs_world, drone_centers, drone_half, fans[:, k])
+            t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans[:, k])
             hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
             ranges = t_hit[hit]
             if lidar.range_noise > 0.0 and len(ranges):
                 ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
                 keep = (ranges > 0.0) & (ranges <= lidar.max_range)
                 hit, ranges = hit[keep], ranges[keep]
-            hits_world = (np.take(origins, hit, axis=0)
-                          + ranges[:, None] * np.take(dirs_world, hit, axis=0))
-            all_points.append((hits_world - align_pos) @ align_rot)
+            # (o_i + r d_i) - a_i per axis into a C-ordered (m, 3) array, then one matmul
+            rel = np.empty((len(hit), 3))
+            np.subtract(np.take(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
+                        align_pos[:, None], out=rel.T)
+            np.matmul(rel, align_rot, out=points[n_points:n_points + len(hit)])
+            n_points += len(hit)
 
-    points = np.concatenate(all_points) if all_points else np.empty((0, 3))
-    return ScanFrame(points, t0, t0 + duration)
+    return ScanFrame(points[:n_points], t0, t0 + duration)
 
 
 def simulate_full_scan(scene, trajectories, lidar, angular_velocity, t0, drone=None,

@@ -15,9 +15,10 @@ The cast oracle is the simulator's ray-casting loop as it was before its
 per-chunk work was cut: one ``rotation_log`` per trajectory segment and
 chunk, one einsum over all three direction axes, and every ray of every
 firing tested against every primitive (``dense_nearest_hit``, whose
-ray-sphere test keeps its einsum form). It shares no culling code with the
-library, only the slab and ground-rectangle tests and ``positions_at``,
-and pins the bits of everything the rewrites touched.
+ray-sphere test keeps its einsum form and whose slab test its broadcast
+form). It shares no culling code with the library, only the
+ground-rectangle test and ``positions_at``, and pins the bits of
+everything the rewrites touched.
 """
 
 import math
@@ -26,7 +27,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dronepose.geom import rotation_exp, rotation_log
-from dronepose.scan_sim import _CHUNK_FIRINGS, _RAY_EPS, ScanFrame, _ray_box, _ray_rect_z
+from dronepose.scan_sim import _CHUNK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
 
@@ -263,6 +264,19 @@ def reference_ray_spheres(origins, dirs, centers, radii):
     return t.min(axis=0)
 
 
+def reference_ray_box(origins, dirs, lo, hi):
+    """Slab test on (n, 3) arrays by broadcasting, the column-wise max and min
+    taken in turn."""
+    d = np.where(dirs == 0.0, 1e-300, dirs)
+    t1 = (lo - origins) / d
+    t2 = (hi - origins) / d
+    lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
+    t_near = np.maximum(np.maximum(lo_t[:, 0], lo_t[:, 1]), lo_t[:, 2])
+    t_far = np.minimum(np.minimum(hi_t[:, 0], hi_t[:, 1]), hi_t[:, 2])
+    hit = (t_far >= t_near) & (t_near > _RAY_EPS)
+    return np.where(hit, t_near, np.inf)
+
+
 def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
     """``Scene.nearest_hit`` without culling: every ray against every primitive,
     and against the drone box around its own ``drone_centers`` row."""
@@ -273,12 +287,12 @@ def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
     for prim in scene.primitives:
         c, half = prim.center, prim.dimensions / 2.0
         if prim.kind == "box":
-            t = np.minimum(t, _ray_box(origins, dirs, c - half, c + half))
+            t = np.minimum(t, reference_ray_box(origins, dirs, c - half, c + half))
         elif prim.kind == "ground_plane":
             t = np.minimum(t, _ray_rect_z(origins, dirs, c[2], c[0], c[1], half[0], half[1]))
     if drone_centers is not None and drone_half > 0.0:
-        t = np.minimum(t, _ray_box(origins, dirs, drone_centers - drone_half,
-                                   drone_centers + drone_half))
+        t = np.minimum(t, reference_ray_box(origins, dirs, drone_centers - drone_half,
+                                            drone_centers + drone_half))
     return t
 
 

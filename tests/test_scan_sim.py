@@ -21,7 +21,7 @@ from dronepose.scan_sim import (
     _ray_rect_z,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import dense_nearest_hit, reference_cast, reference_rotations_at
+from oracles import dense_nearest_hit, reference_cast, reference_ray_box, reference_rotations_at
 
 VIBRATE_AMPLITUDE = np.deg2rad(5.0)
 VIBRATE_PERIOD = 0.12    # s
@@ -495,6 +495,7 @@ TRAJECTORY_ROTATIONS = {
     "constant": [_RA, _RA, _RA_ULP, _RA_ULP],
     "mixed": [_RA, _RA, rotation_about_z(0.4), euler_to_rotation(1.0, 0.2, -0.5),
               euler_to_rotation(1.0, 0.2, -0.5)],
+    "yawing": [np.eye(3), rotation_about_z(0.6), rotation_about_z(-1.1), rotation_about_z(-1.1)],
 }
 ROTATION_TIMES = {
     "unsorted_all_segments": np.random.default_rng(7).uniform(0.0, 10.0, 60),
@@ -519,6 +520,91 @@ class TestRotationsAtMatchesReference:
         assert np.array_equal(got, reference_rotations_at(traj, ts))
         for t in ts[:5]:
             assert np.array_equal(traj.rotation_at(float(t)), reference_rotations_at(traj, t)[0])
+
+
+def rotation_trajectory(kind):
+    rots = TRAJECTORY_ROTATIONS[kind]
+    return TrajectorySpec(np.arange(len(rots)) * 2.5, np.zeros((len(rots), 3)), rots)
+
+
+class TestRotationRows:
+    """``rotation_rows`` gives the reference's rotations entry by entry, and
+    floats on a constant segment."""
+
+    @pytest.mark.parametrize("times", sorted(ROTATION_TIMES))
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_ROTATIONS))
+    def test_entries_bit_identical(self, kind, times):
+        traj = rotation_trajectory(kind)
+        ts = ROTATION_TIMES[times]
+        rows, ref = traj.rotation_rows(ts), reference_rotations_at(traj, ts)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(np.broadcast_to(rows[i][j], len(ts)), ref[:, i, j])
+
+    # (kind, times that all fall on one constant segment, clamped ones included)
+    CONSTANT_SEGMENTS = [("constant", [-3.0, 0.0, 1.0, 2.4999]), ("constant", [5.0, 9.9, 1e3]),
+                         ("mixed", [-1e3, 2.0, 0.5, 1.0]), ("mixed", [9.0, 7.6, 1e3, 12.0]),
+                         ("yawing", [8.0, 1e3, 7.5])]
+
+    @pytest.mark.parametrize("kind, ts", CONSTANT_SEGMENTS)
+    def test_constant_segment_gives_floats(self, kind, ts):
+        rows = rotation_trajectory(kind).rotation_rows(ts)
+        assert all(type(rows[i][j]) is float for i in range(3) for j in range(3))
+        ref = reference_rotations_at(rotation_trajectory(kind), ts)
+        assert np.array_equal(np.broadcast_to(np.array(rows)[None], ref.shape), ref)
+
+    @pytest.mark.parametrize("kind, ts", [("rotating", [0.1]), ("yawing", [2.0, 1.0]),
+                                          ("mixed", [1.0, 3.0]), ("constant", [1.0, 6.0])])
+    def test_rotating_or_several_segments_give_rows(self, kind, ts):
+        rows = rotation_trajectory(kind).rotation_rows(ts)
+        assert isinstance(rows, np.ndarray) and rows.shape == (3, 3, len(ts))
+
+
+def layouts(a):
+    """``a`` C-ordered, F-ordered and as the transpose of C-ordered (3, n) rows."""
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "rows": np.ascontiguousarray(a.T).T}
+
+
+class TestRayLayouts:
+    """``nearest_hit`` and the slab test give the same bits for every memory
+    layout of their (n, 3) inputs."""
+
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    def test_nearest_hit(self, shift):
+        for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in TestFanCull.fan_cases(
+                shift, FAN_SPREADS["lidar"], 20867):
+            fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
+            drone = np.repeat(fan_drone, len(beams), axis=0)
+            # the reference on C-ordered inputs: einsum's sum order follows the layout
+            ref = dense_nearest_hit(scene, origins, dirs, drone, half)
+            bare = dense_nearest_hit(scene, origins, dirs)
+            for o, d, c_fan, c_ray in zip(*(layouts(a).values()
+                                            for a in (origins, dirs, fan_drone, drone))):
+                assert np.array_equal(scene.nearest_hit(o, d, c_fan, half, fans), ref)
+                assert np.array_equal(scene.nearest_hit(o, d, c_ray, half), ref)
+                assert np.array_equal(scene.nearest_hit(o, d), bare)
+
+    def test_ray_box(self):
+        rng = np.random.default_rng(20868)
+        scene = random_scene(rng)
+        origins, dirs = edge_case_rays(rng, scene)
+        # a box per ray a few metres along it, and each box of the scene
+        centers = (origins + rng.uniform(1.0, 10.0, (len(origins), 1)) * dirs
+                   + rng.normal(0.0, 1.0, origins.shape))
+        halves = rng.uniform(0.1, 2.0, origins.shape)
+        boxes = [(centers - halves, centers + halves)]
+        boxes += [(p.center - p.dimensions / 2.0, p.center + p.dimensions / 2.0)
+                  for p in scene.primitives if p.kind == "box"]
+        hits = 0
+        for lo, hi in boxes:
+            ref = reference_ray_box(origins, dirs, lo, hi)
+            hits += np.count_nonzero(np.isfinite(ref))
+            for o, d in zip(layouts(origins).values(), layouts(dirs).values()):
+                for lo_l, hi_l in zip(*(layouts(np.atleast_2d(a)).values() for a in (lo, hi))):
+                    got = _ray_box(o, d, lo_l.reshape(lo.shape), hi_l.reshape(hi.shape))
+                    assert np.array_equal(got, ref)
+        assert hits > 1000
 
 
 CAST_START = 0.5            # s; the yawing vehicle's rotation starts 10 ms later,
