@@ -18,10 +18,6 @@ XY_DEGENERACY_NORM = 1e-6
 _ROT_TOL = 1e-9
 
 
-class GimbalLockError(ValueError):
-    """Euler decomposition requested too close to the Y-axis singularity."""
-
-
 def _vec(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
@@ -85,17 +81,15 @@ def rotation_aligning_xy(a, b) -> np.ndarray:
 def euler_xyz(rotation) -> tuple[float, float, float]:
     """Decompose into extrinsic X-Y-Z angles (rx, ry, rz).
 
-    Raises GimbalLockError when |ry| is within ~1e-6 rad of pi/2, where
-    rx and rz become indistinct.
+    Defined everywhere: the full atan2 triple, which rebuilds the rotation
+    also next to gimbal lock (|ry| near pi/2), and only at the lock exactly
+    (the first column on the z axis) rz = 0 with the coupled angle in rx.
     """
     r = _vec(rotation)
     cy = np.hypot(r[0, 0], r[1, 0])
-    if cy < 1e-6:
-        raise GimbalLockError("pitch (Y axis) within 1e-6 of +-pi/2; rx/rz are coupled")
-    rx = np.arctan2(r[2, 1], r[2, 2])
-    ry = np.arctan2(-r[2, 0], cy)
-    rz = np.arctan2(r[1, 0], r[0, 0])
-    return float(rx), float(ry), float(rz)
+    rx, rz = ((np.arctan2(r[2, 1], r[2, 2]), np.arctan2(r[1, 0], r[0, 0])) if cy > 0.0
+              else (np.arctan2(-r[1, 2], r[1, 1]), 0.0))
+    return float(rx), float(np.arctan2(-r[2, 0], cy)), float(rz)
 
 
 def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:

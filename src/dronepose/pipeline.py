@@ -43,7 +43,6 @@ class _VibrationInputs:
 
     scan: ScanFrame
     t_mid: float
-    start: Pose                    # vehicle pose at the frame start, the scan's frame
     vehicle: Pose                  # vehicle pose at the frame midpoint
     vehicle_vds: np.ndarray
     drone_vds: np.ndarray
@@ -87,7 +86,7 @@ class _SimSource:
                                         sc.vibration_amplitude, period, t_start,
                                         drone=sc.drone, rng=self.rng)
         self.t += period
-        start, vehicle = traj.vehicle.pose_at(t_start), traj.vehicle.pose_at(t_mid)
+        start, vehicle = scan.pose, traj.vehicle.pose_at(t_mid)
         drone_pose = traj.drone.pose_at(t_mid)
         self.drone_poses.append(drone_pose)
         v_vehicle = observe_vds(vehicle, sc.obs, self.rng)
@@ -98,7 +97,7 @@ class _SimSource:
                 ego = observe_ego_direction(self.drone_poses[0], drone_pose,
                                             sigma=sc.obs.ego_noise, rng=self.rng)
         return _VibrationInputs(
-            scan, t_mid, start, vehicle, v_vehicle, v_drone, ego,
+            scan, t_mid, vehicle, v_vehicle, v_drone, ego,
             truth_position=start.rotation.T @ (drone_pose.translation - start.translation),
             truth_rotation=vehicle.rotation.T @ drone_pose.rotation)
 
@@ -140,7 +139,8 @@ class _Estimator:
         else:
             self.rot = filter_rotation(self.rot, measured, inputs.t_mid)
         if not self.corrected:
-            world = inputs.start.rotation @ self.track.position + inputs.start.translation
+            start = inputs.scan.pose
+            world = start.rotation @ self.track.position + start.translation
             emission = accumulate_motion(self.motion, world, inputs.ego,
                                          inputs.vehicle.rotation, self.rot.rotation)
             if emission is not None:

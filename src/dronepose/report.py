@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import euler_to_rotation, rotation_angle
+from .geom import euler_to_rotation, euler_xyz, rotation_angle
 from .scenario import Scenario, ScenarioError
 
 
@@ -82,16 +82,8 @@ def _wrap_degrees(diff):
 
 
 def _euler_deg(rotations) -> np.ndarray:
-    """``euler_xyz``'s angles in degrees, also within 1e-6 rad of gimbal lock,
-    where they still rebuild the rotation. Only at the lock exactly (the
-    first column on the z axis) rz = 0 and rx takes the coupled angle."""
-    angles = []
-    for r in rotations:
-        cy = np.hypot(r[0, 0], r[1, 0])
-        rx, rz = ((np.arctan2(r[2, 1], r[2, 2]), np.arctan2(r[1, 0], r[0, 0])) if cy > 0.0
-                  else (np.arctan2(-r[1, 2], r[1, 1]), 0.0))
-        angles.append((rx, np.arctan2(-r[2, 0], cy), rz))
-    return np.rad2deg(np.array(angles, dtype=float)).reshape(-1, 3)
+    """``euler_xyz`` of each rotation, in degrees, as an (n, 3) array."""
+    return np.rad2deg(np.array([euler_xyz(r) for r in rotations], dtype=float)).reshape(-1, 3)
 
 
 def compute_metrics(record: RunRecord) -> MetricsReport:

@@ -104,15 +104,17 @@ class LidarModel:
 
 @dataclass
 class ScanFrame:
-    """Returns of one sweep or vibration period, vehicle frame at t_start.
+    """Returns of one sweep or vibration period, in the vehicle frame at t_start.
 
     Each return was cast from the poses at its firing's emission time;
-    the frame keeps only its interval, not per-point times.
+    the frame keeps only its interval, not per-point times, and ``pose``,
+    the vehicle pose at t_start that maps its points into the world.
     """
 
     points: np.ndarray     # (n, 3) m
     t_start: float
     t_end: float
+    pose: Pose
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -177,14 +179,8 @@ class TrajectorySpec:
         r0 = r0[:, :, None, None]
         return (r0[:, 0] * b[0] + r0[:, 1] * b[1]) + r0[:, 2] * b[2]
 
-    def rotations_at(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((len(ts), 3, 3))
-        out[:] = np.reshape(self.rotation_rows(ts), (3, 3, -1)).transpose(2, 0, 1)
-        return out
-
     def rotation_at(self, t: float) -> np.ndarray:
-        return self.rotations_at([t])[0]
+        return np.reshape(self.rotation_rows([t]), (3, 3))
 
     def pose_at(self, t: float) -> Pose:
         return Pose(self.rotation_at(t), self.position_at(t))
@@ -479,8 +475,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     beams = lidar.beam_elevations
     n_beams = len(beams)
     sb, cb = np.sin(beams), np.cos(beams)
-    align_rot = trajectories.vehicle.rotation_at(t0)
-    align_pos = trajectories.vehicle.position_at(t0)
+    pose = trajectories.vehicle.pose_at(t0)
     drone_half = drone.width / 2.0 if drone is not None else 0.0
 
     points = np.empty((n_firings * n_beams, 3))
@@ -529,11 +524,11 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
             # (o_i + r d_i) - a_i per axis into a C-ordered (m, 3) array, then one matmul
             rel = np.empty((len(hit), 3))
             np.subtract(np.take(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
-                        align_pos[:, None], out=rel.T)
-            np.matmul(rel, align_rot, out=points[n_points:n_points + len(hit)])
+                        pose.translation[:, None], out=rel.T)
+            np.matmul(rel, pose.rotation, out=points[n_points:n_points + len(hit)])
             n_points += len(hit)
 
-    return ScanFrame(points[:n_points], t0, t0 + duration)
+    return ScanFrame(points[:n_points], t0, t0 + duration, pose)
 
 
 def simulate_full_scan(scene, trajectories, lidar, angular_velocity, t0, drone=None,

@@ -84,33 +84,22 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     norms_m = [np.linalg.norm(moved[:, k]) for k in range(3)]
     if any(n < 1e-12 for n in norms_g + norms_m):
         raise ValueError("degenerate direction: zero-length input")
-    angles = {}
+    pairs = []
     for i in range(3):
         for k in range(3):
             cosang = float(np.dot(vg[:, i], moved[:, k]) / (norms_g[i] * norms_m[k]))
             a = float(np.arccos(clamp_unit(cosang)))
-            angles[i, k, 0] = a
-            angles[i, k, 1] = np.pi - a
-    perm = [0, 0, 0]
-    signs = [1.0, 1.0, 1.0]
-    residuals = np.zeros(3)
-    free_i = set(range(3))
-    free_k = set(range(3))
-    for _ in range(3):
-        best = None
-        for i in sorted(free_i):
-            for k in sorted(free_k):
-                for s in (0, 1):
-                    cand = (angles[i, k, s], i, k, s)
-                    if best is None or cand < best:
-                        best = cand
-        ang, i, k, s = best
+            pairs += [(a, i, k, 0), (np.pi - a, i, k, 1)]
+    # Smallest residual first; ties go to the smaller (i, k, flipped).
+    perm, signs, residuals = [0, 0, 0], [1.0, 1.0, 1.0], np.zeros(3)
+    free_i, free_k = {0, 1, 2}, {0, 1, 2}
+    for ang, i, k, s in sorted(pairs):
+        if i not in free_i or k not in free_k:
+            continue
         if ang > MATCH_LIMIT:
             raise AmbiguousMatchError(
                 f"ambiguous correspondence: best residual {np.rad2deg(ang):.1f} deg")
-        perm[i] = k
-        signs[i] = 1.0 if s == 0 else -1.0
-        residuals[i] = ang
+        perm[i], signs[i], residuals[i] = k, 1.0 if s == 0 else -1.0, ang
         free_i.remove(i)
         free_k.remove(k)
     return MatchResult(tuple(perm), tuple(signs), residuals)

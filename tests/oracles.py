@@ -26,7 +26,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dronepose.geom import rotation_exp, rotation_log
+from dronepose.geom import Pose, rotation_exp, rotation_log
 from dronepose.scan_sim import _CHUNK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
@@ -344,4 +344,4 @@ def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rn
         all_points.append((hits_world - align_pos) @ align_rot)
 
     points = np.concatenate(all_points) if all_points else np.empty((0, 3))
-    return ScanFrame(points, t0, t0 + duration)
+    return ScanFrame(points, t0, t0 + duration, Pose(align_rot, align_pos))

@@ -52,6 +52,15 @@ class TestProject:
         img = project([(0.0, 0.0, -5.0)], params)
         assert np.count_nonzero(img.data) == 0
 
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_point_grazing_the_plane_dropped_without_a_cast(self, params, x):
+        # f x / z is about 1e302, past int64's range: the bounds are taken on
+        # the floats, so no RuntimeWarning from an int cast (an error in tier-1)
+        n = params.resolution
+        img = project([(x, 0.0, 1e-300), (0.0, x, 1e-300), (0.0, 0.0, 10.0)], params)
+        assert img.data[n // 2, n // 2] == 10.0
+        assert np.count_nonzero(img.data) == 1
+
     def test_monotone_occlusion(self, params, rng):
         pts = [(0.1, -0.2, 10.0)]
         base = project(pts, params)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dronepose.geom import (
-    GimbalLockError,
     Pose,
     angle_between,
     euler_to_rotation,
@@ -13,6 +12,8 @@ from dronepose.geom import (
     is_rotation,
     orthonormalize,
     rotation_about_axis,
+    rotation_about_x,
+    rotation_about_y,
     rotation_about_z,
     rotation_angle,
     rotation_exp,
@@ -121,16 +122,23 @@ class TestEuler:
     def test_round_trip_property(self, rng):
         for _ in range(1000):
             r = random_rotation(rng)
-            try:
-                angles = euler_xyz(r)
-            except GimbalLockError:
-                continue
-            back = euler_to_rotation(*angles)
+            back = euler_to_rotation(*euler_xyz(r))
             assert np.max(np.abs(back - r)) < 1e-8
 
-    def test_gimbal_lock_raises(self):
-        with pytest.raises(GimbalLockError, match="Y axis"):
-            euler_xyz(euler_to_rotation(0.2, np.pi / 2, 0.1))
+    # exact Ry(+-90 deg): the first column of Rz @ Y @ Rx lies on the z axis to the bit
+    LOCKED_Y = {1.0: np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),
+                -1.0: np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])}
+
+    @pytest.mark.parametrize("off_lock", [0.0, 1e-12, 9e-7])
+    def test_defined_at_and_near_gimbal_lock(self, off_lock):
+        # the full triple also within 1e-6 rad of the lock; rz = 0 only at the lock exactly
+        for sign in (1.0, -1.0):
+            y = (self.LOCKED_Y[sign] if off_lock == 0.0
+                 else rotation_about_y(sign * (np.pi / 2 - off_lock)))
+            r = rotation_about_z(0.1) @ y @ rotation_about_x(0.2)
+            rx, ry, rz = euler_xyz(r)
+            assert np.max(np.abs(euler_to_rotation(rx, ry, rz) - r)) <= 1e-12
+            assert (rz == 0.0) == (off_lock == 0.0)
 
 
 class TestLogExp:

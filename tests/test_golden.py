@@ -1,10 +1,12 @@
 """Golden gate: the bundled scenarios' trajectory.csv stays byte-identical.
 
 The digests were taken from `dronepose run` on each file in `scenarios/`
-at its own seed. Floating-point results can differ in the last bits
-across platforms and library builds, so they hold only for x86-64 Linux,
-Python 3.11 and numpy 2.4; the test skips elsewhere. A change that alters
-the output on purpose updates a digest here and says why.
+at its own seed. They live in one table, ``GOLDEN`` in
+``perfbench/workloads.py``, which the benchmark checks its ops against
+too. Floating-point results can differ in the last bits across platforms
+and library builds, so they hold only for x86-64 Linux, Python 3.11 and
+numpy 2.4; the test skips elsewhere. A change that alters the output on
+purpose updates a digest and says why.
 
 Generated inputs are pinned too, built by ``perfbench/workloads.py`` at
 seed 0: the ``foliage`` scenario (the heading repair fires over a
@@ -30,12 +32,12 @@ from dronepose.scenario import load_scenario, parse_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
-GOLDEN = {
-    "exp1_gentle_drift": "b150a022ecbb9112fe5d764706b88d8f28a0da02cd665f28f6286a0ded7be8f6",
-    "exp2_moving_vehicle": "3651a5a0d688b4ec7f85bdbc86605f60e7afae63ad343694e2e2483486ee3c96",
-    "exp3_aggressive": "9d2c69751e8c35a1670299d4199bba81a73b8485bca5f1a69b3c5186df7480e9",
-    "exp4_near_correct_prior": "eba8c48af54b232fcbc95c979bf9504366f287c1c6ab8ba0e8c2aff2b9c47890",
-}
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads     # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
+GOLDEN = workloads.GOLDEN
 
 GENERATED = {
     "foliage": "8c1f751253cfd7a8fb00663d0120af5e0fa67fecb89c70a49497606fae933a89",
@@ -71,11 +73,6 @@ def test_trajectory_digest(name, tmp_path):
 @pytest.fixture(scope="module")
 def generated_texts():
     """Scenario text of each generated input, keyed as in ``GENERATED``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads     # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
     cold = workloads.cold_start_inputs(pipeline, scan_sim, str(ROOT), 0, count=14)
     texts = {f"cold_start[{i}]": cold[i].text for i in (0, 5, 13)}
     texts["foliage"] = workloads.foliage_inputs(pipeline, 0)[0].text

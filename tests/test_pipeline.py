@@ -258,7 +258,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("off_lock", [9e-7, 1e-7, 1e-12])
     @pytest.mark.parametrize("pitch_sign", [1.0, -1.0])
     def test_near_gimbal_lock_round_trip(self, tmp_path, pitch_sign, off_lock, rz):
-        # within 1e-6 rad of the lock euler_xyz raises, yet the full triple still
+        # within 1e-6 rad of the lock euler_xyz still gives the full triple, which
         # rebuilds the rotation; an rz = 0 form would be off by about off_lock
         near = [euler_to_rotation(rx, pitch_sign * (np.pi / 2 - off_lock), rz)
                 for rx in (0.0, 0.4, -2.0)]
@@ -405,13 +405,14 @@ COLLINEAR = np.column_stack([(1, 0, 0), (np.cos(0.05), np.sin(0.05), 0),
                              (np.cos(0.05), 0, np.sin(0.05))])
 
 
-def cluster_inputs(k, center, drone_vds=AXES, ego=None, spread=0.05):
-    """Frame k: a point cluster at ``center`` and the given drone VDs."""
+def cluster_inputs(k, center, drone_vds=AXES, ego=None, spread=0.05, start=IDENTITY):
+    """Frame k: a point cluster at ``center`` in the vehicle frame at ``start``,
+    and the given drone VDs."""
     t0 = 0.12 * k
     rng = np.random.default_rng(k)
     pts = np.asarray(center, dtype=float) + rng.normal(scale=spread, size=(60, 3))
-    scan = ScanFrame(pts, t0, t0 + 0.12)
-    return pipeline._VibrationInputs(scan, t0 + 0.06, IDENTITY, IDENTITY, AXES, drone_vds, ego,
+    scan = ScanFrame(pts, t0, t0 + 0.12, start)
+    return pipeline._VibrationInputs(scan, t0 + 0.06, IDENTITY, AXES, drone_vds, ego,
                                      truth_position=np.asarray(center, dtype=float),
                                      truth_rotation=np.eye(3))
 
@@ -494,9 +495,8 @@ class TestEstimatorStep:
             # 1 m/s along +y in the world: 1.68 m per 14-frame gap
             center = np.array([2.0, 1.0 + 0.12 * k, 10.0])
             ego = None if k == 17 else np.array([0.0, 1.0, 0.0])
-            inputs = cluster_inputs(k, start.rotation.T @ center, ego=ego, spread=0.0)
-            inputs.start = start
-            est.step(inputs)
+            est.step(cluster_inputs(k, start.rotation.T @ center, ego=ego, spread=0.0,
+                                    start=start))
             flags.append(est.corrected)
             assert len(est.motion._positions) <= est.motion.frame_gap + 1
         # window 7 after the gap of 14: frames 14-16 break at the missing ego, 18-24 fill it

@@ -479,10 +479,10 @@ class TestTrajectory:
                               [rotation_about_z(a) for a in (0.0, 0.7, -0.4)])
         ts = rng.uniform(-1.0, 9.0, size=20)
         batch_p = traj.positions_at(ts)
-        batch_r = traj.rotations_at(ts)
+        batch_r = np.reshape(traj.rotation_rows(ts), (3, 3, -1))
         for i, t in enumerate(ts):
             assert np.allclose(batch_p[i], traj.position_at(float(t)))
-            assert np.allclose(batch_r[i], traj.rotation_at(float(t)))
+            assert np.allclose(batch_r[:, :, i], traj.rotation_at(float(t)))
 
 
 # Segments of 2.5 s: rotating ones, constant ones (equal waypoint rotations,
@@ -507,7 +507,8 @@ ROTATION_TIMES = {
 
 
 class TestRotationsAtMatchesReference:
-    """Cached segment terms give the same bits as logging each segment per call."""
+    """The single-time query ``rotation_at`` gives the reference's bits at each
+    time: cached segment terms against logging each segment per call."""
 
     @pytest.mark.parametrize("times", sorted(ROTATION_TIMES))
     @pytest.mark.parametrize("kind", sorted(TRAJECTORY_ROTATIONS))
@@ -515,11 +516,10 @@ class TestRotationsAtMatchesReference:
         rots = TRAJECTORY_ROTATIONS[kind]
         traj = TrajectorySpec(np.arange(len(rots)) * 2.5, np.zeros((len(rots), 3)), rots)
         ts = ROTATION_TIMES[times]
-        got = traj.rotations_at(ts)
-        assert got.shape == (len(ts), 3, 3)
-        assert np.array_equal(got, reference_rotations_at(traj, ts))
-        for t in ts[:5]:
-            assert np.array_equal(traj.rotation_at(float(t)), reference_rotations_at(traj, t)[0])
+        for t, want in zip(ts, reference_rotations_at(traj, ts)):
+            got = traj.rotation_at(float(t))
+            assert got.shape == (3, 3) and got.dtype == float
+            assert np.array_equal(got, want)
 
 
 def rotation_trajectory(kind):
@@ -641,16 +641,20 @@ def cast_scene():
 
 def both_casts(monkeypatch, simulate, noise, *args, **kwargs):
     """Points from ``simulate`` with the library's cast and the reference cast,
-    each from a fresh generator of the same seed."""
-    def points():
+    each from a fresh generator of the same seed; both frames carry the
+    vehicle pose at their start."""
+    def frame():
         rng = np.random.default_rng(41) if noise > 0.0 else None
-        return simulate(*args, rng=rng, **kwargs).points
+        return simulate(*args, rng=rng, **kwargs)
 
-    got = points()
+    got = frame()
     with monkeypatch.context() as m:
         m.setattr(scan_sim, "_cast", reference_cast)
-        ref = points()
-    return got, ref
+        ref = frame()
+    assert got.t_start == ref.t_start
+    assert np.array_equal(got.pose.rotation, ref.pose.rotation)
+    assert np.array_equal(got.pose.translation, ref.pose.translation)
+    return got.points, ref.points
 
 
 class TestCastMatchesReference:

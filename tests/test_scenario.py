@@ -1,6 +1,6 @@
 """Scenario ranges: each rule at and past its bound, inputs that used to
-misbehave, a seeded fuzz test driven by the same tables, and the README
-key table.
+misbehave, a seeded fuzz test driven by the same tables, the schema
+defaults against the components' own, and the README key table.
 
 The fuzz test follows Claessen & Hughes, "QuickCheck" (ICFP 2000): it
 mutates a small valid scenario and checks one property of every case.
@@ -8,6 +8,7 @@ Either the CLI exits 1 with an ``error:`` line, or it exits 0 with no
 more frames than the clock allows.
 """
 
+import dataclasses
 import re
 import signal
 import subprocess
@@ -19,6 +20,9 @@ import numpy as np
 import pytest
 
 from dronepose.cli import main
+from dronepose.depth_image import ProjectionParams
+from dronepose.detector import KernelParams
+from dronepose.scan_sim import DroneModel, IndirectObsModel, LidarModel
 from dronepose.scenario import (
     _SCENE_FIELDS,
     _SCHEMA,
@@ -27,6 +31,8 @@ from dronepose.scenario import (
     ScenarioError,
     parse_scenario,
 )
+from dronepose.tracker import MeanShiftParams
+from dronepose.vp_rot import MotionAccumulator, RotationFilterState
 
 ROOT = Path(__file__).resolve().parent.parent
 EXP1 = ROOT / "scenarios" / "exp1_gentle_drift.scenario"
@@ -296,6 +302,30 @@ def test_fuzzed_scenarios_exit_one_or_stay_in_the_frame_bound(tmp_path, capsys):
             outcomes[outcome] += 1
     assert not failures, "\n".join(failures)
     assert outcomes[0] >= 20 and outcomes[1] >= 100, outcomes   # both paths exercised
+
+
+# -- defaults ------------------------------------------------------------------
+
+def test_schema_defaults_match_the_component_defaults():
+    """A key's ``_SCHEMA`` default, after the builder's conversion, equals its
+    component's own dataclass default: the two copies may not drift apart."""
+    sc = parse_scenario(text_of({"schema_version": "1", "seed": "0",
+                                 "drone.waypoint.0.time": "0",
+                                 "drone.waypoint.0.position": "0 0 10"}))
+
+    def same(got, want, label):
+        assert np.shape(got) == np.shape(want), label
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), label   # deg->rad rounding
+
+    for got, want in ((sc.drone, DroneModel()), (sc.kernel, KernelParams()),
+                      (sc.projection, ProjectionParams()), (sc.meanshift, MeanShiftParams()),
+                      (sc.lidar, LidarModel()), (sc.obs, IndirectObsModel())):
+        for f in dataclasses.fields(want):
+            same(getattr(got, f.name), getattr(want, f.name), f"{type(want).__name__}.{f.name}")
+    same(sc.max_rotation_rate, RotationFilterState(np.eye(3)).max_rate, "max_rate")
+    acc = MotionAccumulator()
+    for name in ("window", "frame_gap", "cone", "min_distance"):
+        same(getattr(sc, f"motion_{name}"), getattr(acc, name), f"MotionAccumulator.{name}")
 
 
 # -- docs ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ def params():
 def cluster_frame(center, t0, n=60, spread=0.05, seed=0):
     rng = np.random.default_rng(seed)
     pts = np.asarray(center) + rng.normal(scale=spread, size=(n, 3))
-    return ScanFrame(pts, t0, t0 + 0.12)
+    return ScanFrame(pts, t0, t0 + 0.12, Pose(np.eye(3), np.zeros(3)))
 
 
 class TestMeanShiftRefine:
@@ -229,7 +229,7 @@ class TestTrackStep:
                 asked.append(azimuth)
                 return pipeline._VibrationInputs(
                     cluster_frame(path[k], 0.12 * k, seed=k), 0.12 * k + 0.06, identity,
-                    identity, np.eye(3), np.eye(3), None, path[k], np.eye(3))
+                    np.eye(3), np.eye(3), None, path[k], np.eye(3))
 
         monkeypatch.setattr(pipeline, "_SimSource", Source)
         monkeypatch.setattr(pipeline, "acquire", lambda scan, *params: TrackState(path[0]))

@@ -439,6 +439,39 @@ class TestSameBitsAsReference:
             assert np.array_equal(got, want_rot)
         assert min(outcomes.values()) > 10, outcomes
 
+    # (vehicle VDs, drone VDs, prior) whose residuals tie exactly
+    C10, S10 = np.cos(np.deg2rad(10.0)), np.sin(np.deg2rad(10.0))
+    SPLIT = np.column_stack([(C10, S10, 0.0), (C10, -S10, 0.0), (0.0, 0.0, 1.0)])
+    SIGNED_PERM = np.eye(3)[:, [2, 0, 1]] * [1.0, -1.0, -1.0]
+    TIES = {
+        # every residual 0, pi/2 or pi, and a == pi - a at pi/2
+        "identity": (np.eye(3), np.eye(3), np.eye(3)),
+        "exact_prior": (np.eye(3), SIGNED_PERM.T, SIGNED_PERM),
+        # vehicle columns 0 and 1 are bit-equally 10 deg from drone column 0: the
+        # smaller i takes it, so column 1 takes drone column 1 (15 deg, not 35)
+        "split": (SPLIT, np.column_stack([(1.0, 0.0, 0.0),
+                                          rotation_about_z(np.deg2rad(-25.0))[:, 0],
+                                          (0.0, 0.0, 1.0)]), np.eye(3)),
+        # the same tie, the loser left with a drone column 80 deg away: ambiguous
+        "split_ambiguous": (SPLIT, np.eye(3), np.eye(3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_match_on_exact_ties(self, case):
+        vg, vd, prior = self.TIES[case]
+        try:
+            want = reference_match_vds(vg, vd, prior)
+        except AmbiguousMatchError as exc:
+            assert case == "split_ambiguous"
+            with pytest.raises(AmbiguousMatchError, match=str(exc)):
+                match_vds(vg, vd, prior)
+            return
+        match = match_vds(vg, vd, prior)
+        assert (match.permutation, match.signs) == want[:2]
+        assert np.array_equal(match.residuals, want[2])
+        if case == "split":
+            assert match.permutation == (0, 1, 2)
+
     def test_complete_vd(self):
         rng = np.random.default_rng(32)
         raised = 0
