@@ -90,9 +90,11 @@ def project(points, params: ProjectionParams) -> DepthImage:
         blk = blk[keep]
         z = z[keep]
         # Bounds on the floats: a point just in front of the plane has a pixel
-        # index past int64's range, which must not reach the cast.
-        u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
-        v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
+        # index past int64's range (or an infinite one, from a subnormal z),
+        # which must not reach the cast.
+        with np.errstate(over="ignore"):
+            u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
+            v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
         np.minimum.at(depth, (v[inside].astype(int), u[inside].astype(int)), z[inside])
     depth[~np.isfinite(depth)] = 0.0

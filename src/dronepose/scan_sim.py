@@ -29,7 +29,6 @@ _RAY_EPS = 1e-9
 _BOUND_PAD = 1e-6     # relative and absolute (m) growth of bounding spheres
 _FAN_SLACK = 1e-6     # relative and absolute (m) margin of the fan test; rad for planes
 _BLOCK_FIRINGS = 2560  # firings culled together; holds a default vibration frame
-_CHUNK_FIRINGS = 1024  # most kept firings per nearest_hit call
 
 
 @dataclass
@@ -458,15 +457,15 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     Beam b of a firing points cos(b) u + sin(b) v, with u = R (sin a cos phi,
     sin a sin phi, cos a) and v = R (-sin phi, cos phi, 0) for the vehicle
     rotation R, spin angle a and motor angle phi, so the firing is a fan in
-    one plane. Per block of firings, ``Scene.fan_candidates`` culls the fans,
-    and rays are built only for the firings it keeps, at most
-    ``_CHUNK_FIRINGS`` per ``nearest_hit`` call. A dropped firing has no return
-    and draws no noise, and ``rng.normal`` gives the same stream in one call or
-    several, so the points match a cast of every firing.
+    one plane. Each block of ``_BLOCK_FIRINGS`` firings is one pass: one
+    ``Scene.fan_candidates`` call culls its fans, and rays are built only for
+    the firings it keeps and cast in one ``nearest_hit`` call. A dropped firing
+    has no return and draws no noise, and ``rng.normal`` gives the same stream
+    in one call or several, so the points match a cast of every firing.
 
     Ray data stays in per-axis rows: R as nine (F,) rows (floats while the
     vehicle rotation is constant), origins and directions as (3, n) rows whose
-    transposes go to ``nearest_hit``, and each chunk's returns written into one
+    transposes go to ``nearest_hit``, and each block's returns written into one
     output array, of which only the pages the returns land on are touched.
     """
     if lidar.range_noise > 0.0 and rng is None:
@@ -495,38 +494,35 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rot]).T
         v = np.array([r1 * cp - r0 * sp for r0, r1, _ in rot]).T
         fans = scene.fan_candidates(veh_pos, u, v, beams, drone_pos, drone_half)
-        kept = np.flatnonzero(fans.any(axis=0))
+        k = np.flatnonzero(fans.any(axis=0))
+        # Motor-frame directions, then the rotation by R written out as
+        # (R_i0 x + R_i2 z) + R_i1 y: the order in which einsum's kernel sums
+        # "fij,fbj->fbi", so the bits are the same.
+        sa_cb = sa[k, None] * cb
+        x = sa_cb * cp[k, None] - sb * sp[k, None]
+        y = sa_cb * sp[k, None] + sb * cp[k, None]
+        z = ca[k, None] * cb
+        rot_k = rot if isinstance(rot, list) else rot[:, :, k, None]
+        dirs = np.empty((3, len(k), n_beams))
+        for i, (r0, r1, r2) in enumerate(rot_k):
+            dirs[i] = (r0 * x + r2 * z) + r1 * y
+        dirs = dirs.reshape(3, -1)
+        origins = np.repeat(veh_pos.T[:, k], n_beams, axis=1)
+        drone_centers = drone_pos[k] if drone is not None else None
 
-        for start in range(0, len(kept), _CHUNK_FIRINGS):
-            k = kept[start:start + _CHUNK_FIRINGS]
-            # Motor-frame directions, then the rotation by R written out as
-            # (R_i0 x + R_i2 z) + R_i1 y: the order in which einsum's kernel sums
-            # "fij,fbj->fbi", so the bits are the same.
-            sa_cb = sa[k, None] * cb
-            x = sa_cb * cp[k, None] - sb * sp[k, None]
-            y = sa_cb * sp[k, None] + sb * cp[k, None]
-            z = ca[k, None] * cb
-            rot_k = rot if isinstance(rot, list) else rot[:, :, k, None]
-            dirs = np.empty((3, len(k), n_beams))
-            for i, (r0, r1, r2) in enumerate(rot_k):
-                dirs[i] = (r0 * x + r2 * z) + r1 * y
-            dirs = dirs.reshape(3, -1)
-            origins = np.repeat(veh_pos.T[:, k], n_beams, axis=1)
-            drone_centers = drone_pos[k] if drone is not None else None
-
-            t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans[:, k])
-            hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
-            ranges = t_hit[hit]
-            if lidar.range_noise > 0.0 and len(ranges):
-                ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
-                keep = (ranges > 0.0) & (ranges <= lidar.max_range)
-                hit, ranges = hit[keep], ranges[keep]
-            # (o_i + r d_i) - a_i per axis into a C-ordered (m, 3) array, then one matmul
-            rel = np.empty((len(hit), 3))
-            np.subtract(np.take(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
-                        pose.translation[:, None], out=rel.T)
-            np.matmul(rel, pose.rotation, out=points[n_points:n_points + len(hit)])
-            n_points += len(hit)
+        t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans[:, k])
+        hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
+        ranges = t_hit[hit]
+        if lidar.range_noise > 0.0 and len(ranges):
+            ranges = ranges + rng.normal(0.0, lidar.range_noise, size=len(ranges))
+            keep = (ranges > 0.0) & (ranges <= lidar.max_range)
+            hit, ranges = hit[keep], ranges[keep]
+        # (o_i + r d_i) - a_i per axis into a C-ordered (m, 3) array, then one matmul
+        rel = np.empty((len(hit), 3))
+        np.subtract(np.take(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
+                    pose.translation[:, None], out=rel.T)
+        np.matmul(rel, pose.rotation, out=points[n_points:n_points + len(hit)])
+        n_points += len(hit)
 
     return ScanFrame(points[:n_points], t0, t0 + duration, pose)
 

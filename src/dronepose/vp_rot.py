@@ -82,8 +82,8 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     # angle_between of each pair, with each column's norm taken once.
     norms_g = [np.linalg.norm(vg[:, i]) for i in range(3)]
     norms_m = [np.linalg.norm(moved[:, k]) for k in range(3)]
-    if any(n < 1e-12 for n in norms_g + norms_m):
-        raise ValueError("degenerate direction: zero-length input")
+    if not all(1e-12 <= n < np.inf for n in norms_g + norms_m):    # False on NaN
+        raise ValueError("degenerate direction: zero-length or non-finite input")
     pairs = []
     for i in range(3):
         for k in range(3):

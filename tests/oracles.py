@@ -12,8 +12,8 @@ two norms per angle, ``np.linalg.det``); the library must match them bit
 for bit.
 
 The cast oracle is the simulator's ray-casting loop as it was before its
-per-chunk work was cut: one ``rotation_log`` per trajectory segment and
-chunk, one einsum over all three direction axes, and every ray of every
+per-block work was cut: one ``rotation_log`` per trajectory segment and
+block, one einsum over all three direction axes, and every ray of every
 firing tested against every primitive (``dense_nearest_hit``, whose
 ray-sphere test keeps its einsum form and whose slab test its broadcast
 form). It shares no culling code with the library, only the
@@ -27,7 +27,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dronepose.geom import Pose, rotation_exp, rotation_log
-from dronepose.scan_sim import _CHUNK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
+from dronepose.scan_sim import _BLOCK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
 
@@ -297,7 +297,7 @@ def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):
 
 
 def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
-    """``scan_sim._cast`` with the same signature, in its per-chunk form."""
+    """``scan_sim._cast`` with the same signature, in its per-block form."""
     if lidar.range_noise > 0.0 and rng is None:
         raise ValueError("range noise requires an rng")
     n_firings = int(np.floor(duration / lidar.firing_interval + 1e-9))
@@ -309,8 +309,8 @@ def reference_cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rn
     drone_half = drone.width / 2.0 if drone is not None else 0.0
 
     all_points = []
-    for start in range(0, n_firings, _CHUNK_FIRINGS):
-        idx = np.arange(start, min(start + _CHUNK_FIRINGS, n_firings))
+    for start in range(0, n_firings, _BLOCK_FIRINGS):
+        idx = np.arange(start, min(start + _BLOCK_FIRINGS, n_firings))
         times = t0 + idx * lidar.firing_interval
         alpha = idx * lidar.azimuth_step
         sa, ca = np.sin(alpha), np.cos(alpha)

@@ -61,6 +61,17 @@ class TestProject:
         assert img.data[n // 2, n // 2] == 10.0
         assert np.count_nonzero(img.data) == 1
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_subnormal_depth(self, params, sign):
+        # f x / z overflows to inf, which the float bounds drop without a
+        # RuntimeWarning; at x = 0 the point stays on the centre pixel
+        n = params.resolution
+        assert np.count_nonzero(project([(sign, 0.0, 1e-310)], params).data) == 0
+        assert np.count_nonzero(project([(0.0, sign, 1e-310)], params).data) == 0
+        img = project([(0.0, 0.0, 1e-310)], params)
+        assert img.data[n // 2, n // 2] == 1e-310
+        assert np.count_nonzero(img.data) == 1
+
     def test_monotone_occlusion(self, params, rng):
         pts = [(0.1, -0.2, 10.0)]
         base = project(pts, params)

@@ -15,6 +15,7 @@ from dronepose.scan_sim import (
     observe_vds,
     simulate_full_scan,
     simulate_vibration_frame,
+    _BLOCK_FIRINGS,
     _may_hit,
     _pad,
     _ray_box,
@@ -608,7 +609,7 @@ class TestRayLayouts:
 
 
 CAST_START = 0.5            # s; the yawing vehicle's rotation starts 10 ms later,
-CAST_YAW_START = 0.51       # inside the first chunk of firings
+CAST_YAW_START = 0.51       # inside the first block of firings
 DRONE_POS = (6.0, 6.0, 15.0)
 DRONE_AZIMUTH = np.arctan2(DRONE_POS[1], DRONE_POS[0])
 CAST_VEHICLES = {
@@ -725,6 +726,54 @@ class TestCastBeamLayouts:
         assert np.array_equal(got, ref)
 
 
+class TestCastBlockEdges:
+    """Casts whose firings fill blocks of ``_BLOCK_FIRINGS`` exactly, fall one
+    short or spill one over, and a sweep with a block that keeps no firing,
+    match the reference bit for bit, range-noise draws included."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """(firings, kept firings) of each ``fan_candidates`` call."""
+        blocks = []
+        real = Scene.fan_candidates
+
+        def fan_candidates(scene, veh_pos, *args, **kwargs):
+            rows = real(scene, veh_pos, *args, **kwargs)
+            blocks.append((len(veh_pos), np.count_nonzero(rows.any(axis=0))))
+            return rows
+
+        monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)
+        return blocks
+
+    @pytest.mark.parametrize("n_firings", [_BLOCK_FIRINGS - 1, _BLOCK_FIRINGS,
+                                           _BLOCK_FIRINGS + 1, 2 * _BLOCK_FIRINGS + 1])
+    def test_vibration_frame(self, monkeypatch, n_firings):
+        lidar = LidarModel(range_noise=0.03)
+        traj = Trajectories(drone=CAST_DRONES["moving"](), vehicle=CAST_VEHICLES["yawing"]())
+        blocks = self.record_blocks(monkeypatch)
+        got, ref = both_casts(monkeypatch, simulate_vibration_frame, 0.03, cast_scene(), traj,
+                              lidar, DRONE_AZIMUTH, VIBRATE_AMPLITUDE,
+                              n_firings * lidar.firing_interval, CAST_START, drone=DroneModel())
+        full, last = divmod(n_firings, _BLOCK_FIRINGS)
+        assert [n for n, _ in blocks] == [_BLOCK_FIRINGS] * full + ([last] if last else [])
+        assert len(got) > 1000
+        assert np.array_equal(got, ref)
+
+    def test_sweep_with_a_sky_only_block(self, monkeypatch):
+        # two small spheres 140 degrees apart in azimuth: the motor faces the
+        # first in the first block of the sweep and the second in the last
+        scene = Scene([ScenePrimitive("sphere", (10.0 * np.cos(a), 10.0 * np.sin(a), 3.0),
+                                      (1.0, 1.0, 1.0)) for a in np.deg2rad([20.0, 160.0])])
+        lidar = LidarModel(points_per_second=40000.0, range_noise=0.03)
+        blocks = self.record_blocks(monkeypatch)
+        got, ref = both_casts(monkeypatch, simulate_full_scan, 0.03, scene,
+                              world(vehicle_pos=(0.0, 0.0, 1.5)), lidar, SWEEP_OMEGA, CAST_START)
+        kept = [k for _, k in blocks]
+        assert len(kept) == 3 and kept[0] > 0 and kept[1] == 0 and kept[2] > 0
+        assert len(got) > 100
+        assert np.array_equal(got, ref)
+
+
 class TestBenchmarkHooks:
     """perfbench counts ``scan_sim.*.rays`` from ``len(origins)`` of each
     ``Scene.nearest_hit`` call, samples machine speed on that call, and places
@@ -746,15 +795,19 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(Scene, "nearest_hit", nearest_hit)
         monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)
         traj = Trajectories(drone=CAST_DRONES["moving"](), vehicle=CAST_VEHICLES["yawing"]())
-        for lidar, simulate, args in (
+        for lidar, simulate, args, duration in (
                 (LidarModel(), simulate_vibration_frame,
-                 (DRONE_AZIMUTH, VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START)),
+                 (DRONE_AZIMUTH, VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START), VIBRATE_PERIOD),
                 (LidarModel(points_per_second=40000.0), simulate_full_scan,
-                 (SWEEP_OMEGA, CAST_START))):
+                 (SWEEP_OMEGA, CAST_START), np.pi / SWEEP_OMEGA)):
             calls.clear()
             kept.clear()
             frame = simulate(cast_scene(), traj, lidar, *args, drone=DroneModel())
-            assert len(frame) > 1000 and len(calls) > 1
+            # one fan_candidates and one nearest_hit call per block of firings
+            n_firings = int(np.floor(duration / lidar.firing_interval + 1e-9))
+            n_blocks = -(-n_firings // _BLOCK_FIRINGS)
+            assert len(frame) > 1000
+            assert len(calls) == len(kept) == n_blocks
             assert all(n_origins == n_dirs for n_origins, n_dirs in calls)
             assert sum(n for n, _ in calls) == sum(kept) * len(lidar.beam_elevations)
 

@@ -111,6 +111,16 @@ class TestMatchVds:
         with pytest.raises(AmbiguousMatchError, match="ambiguous correspondence"):
             match_vds(np.eye(3), spoil, np.eye(3))
 
+    # (an infinite drone entry warns in the prior's matmul before the check)
+    @pytest.mark.parametrize("side, bad", [("vehicle", np.nan), ("drone", np.nan),
+                                           ("vehicle", np.inf)])
+    def test_non_finite_direction_raises(self, side, bad):
+        vds = np.eye(3)
+        vds[1, 1] = bad
+        vehicle, drone = (vds, np.eye(3)) if side == "vehicle" else (np.eye(3), vds)
+        with pytest.raises(ValueError, match="non-finite"):
+            match_vds(vehicle, drone, np.eye(3))
+
     def test_agrees_with_exhaustive_search_below_40deg(self, rng):
         for _ in range(100):
             truth = random_rotation(rng, max_angle=1.2)
