@@ -33,8 +33,8 @@ def angle_between(a, b) -> float:
     b = _vec(b)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("degenerate direction: zero-length input")
+    if not (1e-12 <= na < np.inf and 1e-12 <= nb < np.inf):     # False on NaN
+        raise ValueError("degenerate direction: zero-length or non-finite input")
     return float(np.arccos(clamp_unit(float(np.dot(a, b) / (na * nb)))))
 
 

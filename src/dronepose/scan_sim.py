@@ -20,6 +20,7 @@ plus angular noise; detecting them from imagery is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +218,20 @@ class IndirectObsModel:
             raise ValueError("noise sigmas must be >= 0")
 
 
+class Fans(NamedTuple):
+    """F planar fans of rays and the primitives each may hit (``Scene.fan_candidates``)."""
+
+    rows: np.ndarray      # (groups + rects + 1, F) bools
+    origins: np.ndarray   # (F, 3)
+    axes: np.ndarray      # (F, 3) unit: the direction halfway between the end rays
+    normals: np.ndarray   # (F, 3) unit normal of the fan's plane
+    spread: float         # rad: every ray lies within it of the fan's axis
+
+    def take(self, k):
+        """The fans ``k`` (indices), in that order."""
+        return Fans(self.rows[:, k], self.origins[k], self.axes[k], self.normals[k], self.spread)
+
+
 class Scene:
     """Static primitives compiled to closed-form shapes for ray casting.
 
@@ -227,17 +242,21 @@ class Scene:
     Each sphere, box and blob also gets an enclosing sphere, inflated by
     ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only
     on the rays that can meet its sphere (bounding-volume culling, Kay &
-    Kajiya, SIGGRAPH 1986). Every (ray, primitive) distance is computed
-    as without culling and the minimum is exact, so returns are
-    bit-identical. ``fan_candidates`` culls whole firings first, by the
-    plane and the cone that hold each firing's rays (packet culling, Wald
-    et al., Eurographics 2001).
+    Kajiya, SIGGRAPH 1986). ``fan_candidates`` culls whole firings first,
+    by the plane and the cone that hold each firing's rays (packet
+    culling, Wald et al., Eurographics 2001). For a cast's firings the
+    spheres descend one level further: each sphere of a blob is tested
+    against each firing kept for the blob, as the blob's sphere was, and
+    the exact ray-sphere test runs on the rays of the (sphere, firing)
+    pairs left, without a per-ray test (Reshetov et al., SIGGRAPH 2005).
+    Every (ray, primitive) distance is computed as without culling and the
+    minimum is exact, so returns are bit-identical.
     """
 
     def __init__(self, primitives, seed: int = 0):
         self.primitives = list(primitives)
         centers, radii = [], []
-        self.groups = []          # (exact test, arg, arg) for each bounded primitive
+        self.groups = []          # (_ray_box, lo, hi), or (_ray_spheres, first, end) of its spheres
         bounds = []               # (center, radius) of the sphere enclosing each group
         self.rects = []
         for idx, prim in enumerate(self.primitives):
@@ -257,7 +276,7 @@ class Scene:
                     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
                     dist = prim.scatter_radius * np.cbrt(rng.uniform(size=prim.count))
                     pts, reach = prim.center + raw * dist[:, None], prim.scatter_radius
-                self.groups.append((_ray_spheres, pts, np.full(len(pts), r)))
+                self.groups.append((_ray_spheres, len(centers), len(centers) + len(pts)))
                 bounds.append((prim.center, reach + r))
                 centers.extend(pts)
                 radii.extend([r] * len(pts))
@@ -267,7 +286,8 @@ class Scene:
         self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
     def fan_candidates(self, origins, u, v, beams, drone_centers=None, drone_half=0.0):
-        """Which primitives each of F fans of rays can hit: (groups + rects + 1, F) bools.
+        """Which primitives each of F fans of rays can hit, as ``Fans``: (groups +
+        rects + 1, F) bool rows next to the fans' geometry.
 
         Fan f holds the rays cos(b) u[f] + sin(b) v[f] from ``origins[f]``, for
         the elevations b in ``beams``; u[f] and v[f] are orthonormal. Rows follow
@@ -302,7 +322,7 @@ class Scene:
         if drone_centers is not None and drone_half > 0.0:
             rows[-1] = _fan_may_hit(origins, axes, normals, drone_centers,
                                     _pad(np.sqrt(3.0) * drone_half), spread)
-        return rows
+        return Fans(rows, origins, axes, normals, spread)
 
     def nearest_hit(self, origins, dirs, drone_centers=None, drone_half: float = 0.0,
                     fans=None):
@@ -311,29 +331,45 @@ class Scene:
         ``origins`` and ``dirs`` are (n, 3) in any layout; the cast passes the
         transposes of C-ordered (3, n) per-axis rows, which are read without a
         copy, and every gather takes whole rows (``np.take(rows, sel, axis=1)``).
-        ``fans``, if given, is ``fan_candidates``' rows for the F fans whose
+        ``fans``, if given, is ``fan_candidates``' ``Fans`` for the F fans whose
         rays these are, laid out fan by fan; ``drone_centers`` then holds one
         centre per fan. Without ``fans`` every ray is a fan of its own that
-        every row keeps, with its own drone centre. Each group and the drone
+        every row keeps, with its own drone centre. Each box and the drone
         box are tested only on the rays of the fans their rows keep that pass
-        the per-ray bound test. Ground rectangles are tested on every ray, as
-        most fans kept reach the ground. ``t`` is the same, bit for bit, as
-        testing every ray against every primitive.
+        the per-ray bound test. Without ``fans`` so is each sphere group, on
+        all of its spheres; with ``fans`` each sphere of a group is tested
+        only on the rays of the fans that its group's row and ``_sphere_fans``
+        keep. Ground rectangles are tested on every ray, as most fans kept
+        reach the ground. ``t`` is the same, bit for bit, as testing every ray
+        against every primitive.
         """
         o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
         every = np.arange(len(origins))
-        per_fan = 1 if fans is None else len(origins) // max(fans.shape[1], 1)
+        per_fan = 1 if fans is None else len(origins) // max(len(fans.origins), 1)
 
         def rays(row):
-            return every if fans is None else _fan_rays(fans[row], per_fan)
+            return every if fans is None else _fan_rays(np.flatnonzero(fans.rows[row]), per_fan)
 
         t = np.full(len(origins), np.inf)
+        spheres, pairs = [], []   # (group, first, end) of sphere groups kept; (sphere, ray) pairs
         for g, ((exact, a, b), c, radius) in enumerate(zip(self.groups, self.bound_centers,
                                                            self.bound_radii)):
-            sel = _pass(o, d, c, radius, rays(g))
-            if len(sel):
-                t[sel] = np.minimum(t[sel], exact(np.take(o, sel, axis=1).T,
-                                                  np.take(d, sel, axis=1).T, a, b))
+            if exact is _ray_box:
+                sel = _pass(o, d, c, radius, rays(g))
+                if len(sel):
+                    t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
+                                                         np.take(d, sel, axis=1).T, a, b))
+            elif fans is None:
+                sel = _pass(o, d, c, radius, every)
+                pairs.append((np.repeat(np.arange(a, b), len(sel)), np.tile(sel, b - a)))
+            elif fans.rows[g].any():
+                spheres.append((g, a, b))
+        if spheres:
+            sphere, fan = _sphere_fans(self.sphere_centers, _pad(self.sphere_radii), spheres, fans)
+            pairs.append((np.repeat(sphere, per_fan), _fan_rays(fan, per_fan)))
+        if pairs:
+            _ray_spheres(o, d, self.sphere_centers, self.sphere_radii,
+                         *(np.concatenate(p) for p in zip(*pairs)), t)
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(o.T, d.T, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
@@ -349,9 +385,35 @@ class Scene:
         return t
 
 
-def _fan_rays(row, per_fan):
-    """Indices of the rays of the fans that ``row`` keeps, fans laid out in turn."""
-    return (np.flatnonzero(row)[:, None] * per_fan + np.arange(per_fan)).ravel()
+def _fan_rays(fan, per_fan):
+    """Indices of the rays of the fans ``fan`` (indices), fans laid out in turn."""
+    return (fan[:, None] * per_fan + np.arange(per_fan)).ravel()
+
+
+def _sphere_fans(centers, radii, groups, fans):
+    """(sphere, fan) index pairs that ``_fan_may_hit`` keeps, of the spheres at
+    ``centers`` with the padded ``radii`` and ``fans``; the spheres ``first`` to
+    ``end`` are paired only with the fans that row ``group`` of ``fans.rows``
+    keeps, for each (group, first, end) of ``groups``. A plane pass over those
+    pairs runs first, |c.n - o.n| <= r + ``_FAN_SLACK`` (|o| + |c| + r + 1) with
+    |c| + r taken at its largest over the group: ``_fan_may_hit``'s plane test
+    with a wider slack (see there)."""
+    o, n = fans.origins, fans.normals
+    along = o[:, 0] * n[:, 0] + o[:, 1] * n[:, 1] + o[:, 2] * n[:, 2]
+    slack = _FAN_SLACK * np.sqrt(o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1] + o[:, 2] * o[:, 2])
+    reach = _FAN_SLACK * (np.sqrt(np.square(centers).sum(axis=1)) + (radii + 1.0))
+    sphere, fan = [], []
+    for g, first, end in groups:
+        kept = np.flatnonzero(fans.rows[g])
+        r = radii[first:end, None]
+        s, f = np.nonzero(np.abs(centers[first:end] @ n[kept].T - along[kept])
+                          <= r + (slack[kept] + reach[first:end].max()))
+        sphere.append(first + s)
+        fan.append(kept[f])
+    sphere, fan = np.concatenate(sphere), np.concatenate(fan)
+    near = _fan_may_hit(o[fan], fans.axes[fan], n[fan], centers[sphere], radii[sphere],
+                        fans.spread)
+    return sphere[near], fan[near]
 
 
 def _pass(o, d, centers, radius, rays):
@@ -394,6 +456,18 @@ def _fan_may_hit(origins, axes, normals, centers, radius, spread):
     rounding of the axis, the normal and this test. So a fan is dropped only
     when no ray of it passes the ray test, and the rays of the fans kept see
     the ray test and the exact tests with the same arithmetic on the same bits.
+
+    A cast applies the same test to each sphere of a blob and each fan that
+    the blob's row keeps (``_sphere_fans``), with the sphere's padded radius,
+    and runs the exact test on every ray of the pairs kept, without a ray
+    test. That drops no pair that can hit: the exact test finds a hit only
+    where the ray passes the ray test for the padded radius (``_pad`` covers
+    its rounding, as for a standalone sphere's bound), and then this test
+    keeps the fan. The plane pass before it widens the plane test alone: its
+    slack holds |c| + |o| >= |w| and |c| + r at their largest over the blob,
+    and its rounding of c.n - o.n, a few 1e-16 (|c| + |o|), lies far inside
+    that slack. Each pair's distance is computed as without culling, so the
+    minimum over the pairs kept has the same bits.
     """
     wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
     dist2 = wx * wx + wy * wy + wz * wz
@@ -409,22 +483,25 @@ def _fan_may_hit(origins, axes, normals, centers, radius, spread):
     return near & (np.square(np.maximum(ahead, 0.0)) >= gap)
 
 
-def _ray_spheres(origins, dirs, centers, radii):
-    # Per-axis (m, n) products summed as (x + z) + y: numpy's einsum kernel adds a
+def _ray_spheres(o, d, centers, radii, sphere, ray, t):
+    """Lower ``t`` to each ray's nearest positive hit on the spheres (``centers``
+    (m, 3), ``radii``) over the (``sphere``, ``ray``) index pairs; rays are
+    gathered from the (3, n) rows ``o`` and ``d``."""
+    # Per-axis products summed as (x + z) + y: numpy's einsum kernel adds a
     # length-3 contraction in that order, so the bits match einsum's
     # "mnd,nd->mn" and "mnd,mnd->mn" on the (m, n, 3) offsets; (x + y) + z would not.
-    ox, oy, oz = (origins[:, i] - centers[:, i, None] for i in range(3))
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    if not len(ray):
+        return
+    ox, oy, oz = (np.take(o[i], ray) - np.take(centers[:, i], sphere) for i in range(3))
+    dx, dy, dz = (np.take(d[i], ray) for i in range(3))
     b = (ox * dx + oz * dz) + oy * dy
-    c = ((ox * ox + oz * oz) + oy * oy) - radii[:, None] ** 2
+    c = ((ox * ox + oz * oz) + oy * oy) - np.take(radii ** 2, sphere)
     disc = b * b - c
-    sphere, ray = np.nonzero(disc >= 0.0)
-    b, sq = b[sphere, ray], np.sqrt(disc[sphere, ray])
+    hit = np.flatnonzero(disc >= 0.0)
+    b, sq = b[hit], np.sqrt(disc[hit])
     t1 = -b - sq
     t2 = -b + sq
-    t = np.full(len(origins), np.inf)
-    np.minimum.at(t, ray, np.where(t1 > _RAY_EPS, t1, np.where(t2 > _RAY_EPS, t2, np.inf)))
-    return t
+    np.minimum.at(t, ray[hit], np.where(t1 > _RAY_EPS, t1, np.where(t2 > _RAY_EPS, t2, np.inf)))
 
 
 def _ray_box(origins, dirs, lo, hi):
@@ -494,7 +571,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rot]).T
         v = np.array([r1 * cp - r0 * sp for r0, r1, _ in rot]).T
         fans = scene.fan_candidates(veh_pos, u, v, beams, drone_pos, drone_half)
-        k = np.flatnonzero(fans.any(axis=0))
+        k = np.flatnonzero(fans.rows.any(axis=0))
         # Motor-frame directions, then the rotation by R written out as
         # (R_i0 x + R_i2 z) + R_i1 y: the order in which einsum's kernel sums
         # "fij,fbj->fbi", so the bits are the same.
@@ -510,7 +587,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         origins = np.repeat(veh_pos.T[:, k], n_beams, axis=1)
         drone_centers = drone_pos[k] if drone is not None else None
 
-        t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans[:, k])
+        t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans.take(k))
         hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
         ranges = t_hit[hit]
         if lidar.range_noise > 0.0 and len(ranges):

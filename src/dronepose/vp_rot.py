@@ -77,8 +77,10 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     AmbiguousMatchError when any assigned pair disagrees by more than
     45 degrees, past which Manhattan-world correspondence is undefined.
     """
-    vg = _vec(vehicle_vds)
-    moved = _vec(prior) @ _vec(drone_vds)
+    vg, vd, prior = _vec(vehicle_vds), _vec(drone_vds), _vec(prior)
+    if not (np.isfinite(vd).all() and np.isfinite(prior).all()):   # before inf * 0 in the matmul
+        raise ValueError("degenerate direction: zero-length or non-finite input")
+    moved = prior @ vd
     # angle_between of each pair, with each column's norm taken once.
     norms_g = [np.linalg.norm(vg[:, i]) for i in range(3)]
     norms_m = [np.linalg.norm(moved[:, k]) for k in range(3)]

@@ -45,6 +45,12 @@ class TestAngleBetween:
         with pytest.raises(ValueError, match="degenerate direction"):
             angle_between((0, 0, 0), (1, 0, 0))
 
+    @pytest.mark.parametrize("bad", [(np.inf, 0, 0), (-np.inf, np.inf, 0), (np.nan, 1, 0)])
+    def test_non_finite_raises(self, bad):
+        for a, b in ((bad, (1, 0, 0)), ((1, 0, 0), bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                angle_between(a, b)
+
     def test_symmetry_and_triangle_inequality(self, rng):
         for _ in range(200):
             a, b, c = (rng.normal(size=3) for _ in range(3))

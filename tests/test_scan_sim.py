@@ -20,9 +20,16 @@ from dronepose.scan_sim import (
     _pad,
     _ray_box,
     _ray_rect_z,
+    _sphere_fans,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import dense_nearest_hit, reference_cast, reference_ray_box, reference_rotations_at
+from oracles import (
+    dense_nearest_hit,
+    reference_cast,
+    reference_ray_box,
+    reference_ray_spheres,
+    reference_rotations_at,
+)
 
 VIBRATE_AMPLITUDE = np.deg2rad(5.0)
 VIBRATE_PERIOD = 0.12    # s
@@ -270,23 +277,26 @@ class TestFanCull:
     @staticmethod
     def fan_cases(shift, spread, seed):
         """Planar fans of 2 and 16 beams with elevations centred on 0.3 rad,
-        through the broad phase's edge-case rays and along planes grazing
-        every bound, in scenes with a ground and a ceiling rectangle."""
+        through the broad phase's edge-case rays, then along planes grazing
+        every sphere at r and at ``_pad(r)`` and every bound (in that order;
+        see ``plane_grazing_rays``), in scenes with a ground and a ceiling
+        rectangle."""
         rng = np.random.default_rng(seed)
         for half, per_fan in ((0.05, 16), (0.25, 2), (1.5, 16)):
             beams = 0.3 + np.linspace(-spread, spread, per_fan)
             scene = fan_scene(rng, shift)
             rays_o, rays_d = edge_case_rays(rng, scene, shift)
-            graze_o, graze_d, graze_n = plane_grazing_rays(rng, scene.bound_centers,
-                                                           scene.bound_radii)
-            u, v, origins, dirs = planar_fans(rng, rays_o, rays_d, beams)
-            gu, gv, g_origins, g_dirs = planar_fans(rng, graze_o, graze_d, beams, graze_n)
-            fan_o = np.concatenate([rays_o, graze_o])
-            drone = fan_o + 6.0 * np.concatenate([rays_d, graze_d]) + rng.normal(
-                0.0, 2.0 * half, fan_o.shape)
+            parts = [(rays_o, rays_d, *planar_fans(rng, rays_o, rays_d, beams))]
+            for centers, radii in ((scene.sphere_centers, scene.sphere_radii),
+                                   (scene.sphere_centers, _pad(scene.sphere_radii)),
+                                   (scene.bound_centers, scene.bound_radii)):
+                graze_o, graze_d, graze_n = plane_grazing_rays(rng, centers, radii)
+                parts.append((graze_o, graze_d,
+                              *planar_fans(rng, graze_o, graze_d, beams, graze_n)))
+            fan_o, fan_d, u, v, origins, dirs = (np.concatenate(p) for p in zip(*parts))
+            drone = fan_o + 6.0 * fan_d + rng.normal(0.0, 2.0 * half, fan_o.shape)
             drone[::7] = fan_o[::7] + rng.uniform(-half, half, (len(drone[::7]), 3))
-            yield (scene, half, beams, fan_o, np.concatenate([u, gu]), np.concatenate([v, gv]),
-                   drone, np.concatenate([origins, g_origins]), np.concatenate([dirs, g_dirs]))
+            yield scene, half, beams, fan_o, u, v, drone, origins, dirs
 
     @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
     @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
@@ -295,12 +305,12 @@ class TestFanCull:
         for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
                 shift, spread, 20864):
             fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
-            assert fans.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
+            assert fans.rows.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
             got = scene.nearest_hit(origins, dirs, fan_drone, half, fans)   # a centre per fan
             drone = np.repeat(fan_drone, len(beams), axis=0)
             assert np.array_equal(got, scene.nearest_hit(origins, dirs, drone, half))
             assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, half))
-            culled += np.count_nonzero(~fans)
+            culled += np.count_nonzero(~fans.rows)
         assert culled > 0
 
     @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
@@ -314,12 +324,31 @@ class TestFanCull:
                     for c, r in zip(scene.bound_centers, scene.bound_radii)]
             rays += [np.isfinite(_ray_rect_z(origins, dirs, *rect)) for rect in scene.rects]
             rays.append(_may_hit(origins, dirs, drone, _pad(np.sqrt(3.0) * half)))
-            for row, ray_kept in zip(fans, rays):
+            for row, ray_kept in zip(fans.rows, rays):
                 assert not np.any(ray_kept.reshape(-1, len(beams)).any(axis=1) & ~row)
             # each fan in a plane cutting a bound by 1e-9 r holds a ray that meets it
             first_cut = len(fan_o) - 2 * len(scene.bound_centers)
             for g in range(len(scene.bound_centers)):
                 assert rays[g].reshape(-1, len(beams))[first_cut + g].any()
+
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    @pytest.mark.parametrize("spread", FAN_SPREADS.values(), ids=FAN_SPREADS.keys())
+    def test_every_sphere_hit_lies_in_a_sphere_fan_kept(self, shift, spread):
+        for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
+                shift, spread, 20869):
+            fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
+            groups = [(g, a, b) for g, (exact, a, b) in enumerate(scene.groups)
+                      if exact is not _ray_box]
+            kept = np.zeros((len(scene.sphere_centers), len(fan_o)), dtype=bool)
+            kept[_sphere_fans(scene.sphere_centers, _pad(scene.sphere_radii), groups, fans)] = True
+            # spheres grazed by planes at r (1 - 1e-9), which cut them
+            first_cut = len(fan_o) - 2 * len(scene.bound_centers) - 4 * len(kept)
+            for s, (c, r) in enumerate(zip(scene.sphere_centers, scene.sphere_radii)):
+                hit = np.isfinite(reference_ray_spheres(origins, dirs, c[None], r[None]))
+                near = _may_hit(origins, dirs, c, _pad(r))
+                for rays in (hit.reshape(-1, len(beams)), near.reshape(-1, len(beams))):
+                    assert not np.any(rays.any(axis=1) & ~kept[s])
+                assert hit.reshape(-1, len(beams))[first_cut + s].any()
 
     def test_ground_seen_from_below(self):
         # a ceiling: fans from below reach it only when some ray points up
@@ -328,9 +357,9 @@ class TestFanCull:
         e = np.deg2rad([-60.0, -16.0, -14.0, 0.0, 30.0])
         u = np.stack([np.cos(e), np.zeros(5), np.sin(e)], axis=1)   # the fans' axes
         v = np.stack([-np.sin(e), np.zeros(5), np.cos(e)], axis=1)  # rays rise toward v
-        below = scene.fan_candidates(np.zeros((5, 3)), u, v, beams)
-        above = scene.fan_candidates(np.tile([0.0, 0.0, 20.0], (5, 1)), u, v, beams)
-        level = scene.fan_candidates(np.tile([0.0, 0.0, 10.0], (5, 1)), u, v, beams)
+        below = scene.fan_candidates(np.zeros((5, 3)), u, v, beams).rows
+        above = scene.fan_candidates(np.tile([0.0, 0.0, 20.0], (5, 1)), u, v, beams).rows
+        level = scene.fan_candidates(np.tile([0.0, 0.0, 10.0], (5, 1)), u, v, beams).rows
         assert below[0].tolist() == [False, False, True, True, True]
         assert above[0].tolist() == [True, True, True, True, False]
         assert not level[0].any()
@@ -658,6 +687,22 @@ def both_casts(monkeypatch, simulate, noise, *args, **kwargs):
     return got.points, ref.points
 
 
+def canopy_scene():
+    """A ground and a dense canopy in the vibration wedge: 6 blobs of 20 spheres
+    of 0.3 m, each within 2 m of a centre 2.5-3.5 m up and 6-11 m out along the
+    drone's azimuth, as in the benchmark's foliage scenes."""
+    rng = np.random.default_rng(20870)
+    radial = np.array([np.cos(DRONE_AZIMUTH), np.sin(DRONE_AZIMUTH), 0.0])
+    tangent = np.array([-radial[1], radial[0], 0.0])
+    prims = [ScenePrimitive("ground_plane", (0.0, 0.0, 0.0), (300.0, 300.0, 1.0))]
+    for _ in range(6):
+        center = radial * rng.uniform(6.0, 11.0) + tangent * rng.uniform(-1.0, 1.0)
+        center[2] = rng.uniform(2.5, 3.5)
+        prims.append(ScenePrimitive("sparse_blob", center, (0.3, 0.3, 0.3), count=20,
+                                    scatter_radius=2.0))
+    return Scene(prims, seed=11)
+
+
 class TestCastMatchesReference:
     """The cast returns the reference's points bit for bit, RNG draws included."""
 
@@ -681,6 +726,25 @@ class TestCastMatchesReference:
                               SWEEP_OMEGA, CAST_START, drone=DroneModel() if drone else None)
         assert len(got) > 10_000
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["vibration_frame", "full_scan"])
+    def test_canopy(self, monkeypatch, sweep):
+        scene = canopy_scene()
+        traj = Trajectories(drone=CAST_DRONES["moving"](), vehicle=CAST_VEHICLES["static"]())
+        if sweep:
+            got, ref = both_casts(monkeypatch, simulate_full_scan, 0.03, scene, traj,
+                                  LidarModel(range_noise=0.03, points_per_second=40000.0),
+                                  SWEEP_OMEGA, CAST_START, drone=DroneModel())
+        else:
+            got, ref = both_casts(monkeypatch, simulate_vibration_frame, 0.03, scene, traj,
+                                  LidarModel(range_noise=0.03), DRONE_AZIMUTH,
+                                  VIBRATE_AMPLITUDE, VIBRATE_PERIOD, CAST_START,
+                                  drone=DroneModel())
+        assert np.array_equal(got, ref)
+        pose = traj.vehicle.pose_at(CAST_START)
+        world_pts = got @ pose.rotation.T + pose.translation
+        gap = np.linalg.norm(world_pts[:, None] - scene.sphere_centers, axis=2).min(axis=1)
+        assert np.count_nonzero(gap < 0.3) > 200       # returns from the canopy
 
 
 # Beam layouts as ``scenario`` builds them: (lidar.elevation_span_deg, lidar.beam_count).
@@ -738,9 +802,9 @@ class TestCastBlockEdges:
         real = Scene.fan_candidates
 
         def fan_candidates(scene, veh_pos, *args, **kwargs):
-            rows = real(scene, veh_pos, *args, **kwargs)
-            blocks.append((len(veh_pos), np.count_nonzero(rows.any(axis=0))))
-            return rows
+            fans = real(scene, veh_pos, *args, **kwargs)
+            blocks.append((len(veh_pos), np.count_nonzero(fans.rows.any(axis=0))))
+            return fans
 
         monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)
         return blocks
@@ -788,9 +852,9 @@ class TestBenchmarkHooks:
             return real_hit(scene, origins, dirs, *args, **kwargs)
 
         def fan_candidates(scene, *args, **kwargs):
-            rows = real_fans(scene, *args, **kwargs)
-            kept.append(np.count_nonzero(rows.any(axis=0)))
-            return rows
+            fans = real_fans(scene, *args, **kwargs)
+            kept.append(np.count_nonzero(fans.rows.any(axis=0)))
+            return fans
 
         monkeypatch.setattr(Scene, "nearest_hit", nearest_hit)
         monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)

@@ -111,9 +111,9 @@ class TestMatchVds:
         with pytest.raises(AmbiguousMatchError, match="ambiguous correspondence"):
             match_vds(np.eye(3), spoil, np.eye(3))
 
-    # (an infinite drone entry warns in the prior's matmul before the check)
     @pytest.mark.parametrize("side, bad", [("vehicle", np.nan), ("drone", np.nan),
-                                           ("vehicle", np.inf)])
+                                           ("vehicle", np.inf), ("drone", np.inf),
+                                           ("drone", -np.inf)])
     def test_non_finite_direction_raises(self, side, bad):
         vds = np.eye(3)
         vds[1, 1] = bad
@@ -508,5 +508,6 @@ class TestSameBitsAsReference:
             b = b + rng.choice([0.0, 1e-14, 1e-3]) * rng.normal(size=3)
             assert angle_between(a, b) == reference_angle_between(a, b)
         nan = np.array([np.nan, 1.0, 0.0])
-        assert np.isnan(angle_between(nan, (1.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="non-finite"):    # was a NaN angle
+            angle_between(nan, (1.0, 0.0, 0.0))
         assert np.isnan(reference_angle_between(nan, (1.0, 0.0, 0.0)))
