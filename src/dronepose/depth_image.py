@@ -75,28 +75,30 @@ def project(points, params: ProjectionParams) -> DepthImage:
     """Bin points into the image, keeping the smallest depth per pixel.
 
     Points behind the image plane or outside the field of view are
-    dropped.
+    dropped. Raises ValueError on a non-finite point.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    # C order once: a block's matmuls give the same bits on any input layout.
+    pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 3)
     n = params.resolution
     f = params.focal
     depth = np.full((n, n), np.inf)
     # Block-wise, so a full sweep's temporaries stay small and reused; the
     # per-pixel minimum does not depend on the order points arrive in.
-    for start in range(0, len(pts), _PROJECT_BLOCK):
-        blk = pts[start:start + _PROJECT_BLOCK]
-        z = blk @ params.w_axis
-        keep = z > 0.0
-        blk = blk[keep]
-        z = z[keep]
-        # Bounds on the floats: a point just in front of the plane has a pixel
-        # index past int64's range (or an infinite one, from a subnormal z),
-        # which must not reach the cast.
-        with np.errstate(over="ignore"):
+    # Bounds on the floats: a point just in front of the plane has a pixel
+    # index past int64's range (or an infinite one, from a subnormal z),
+    # which must not reach the cast.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(pts), _PROJECT_BLOCK):
+            blk = pts[start:start + _PROJECT_BLOCK]
+            z = blk @ params.w_axis
+            if not np.isfinite(z).all():    # as it is for any non-finite point
+                raise ValueError("points and their depths must be finite")
+            front = np.flatnonzero(z > 0.0)     # a gather: about half the rows
+            blk, z = np.take(blk, front, axis=0), np.take(z, front)
             u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
             v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
-        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-        np.minimum.at(depth, (v[inside].astype(int), u[inside].astype(int)), z[inside])
+            inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+            np.minimum.at(depth, (v[inside].astype(int), u[inside].astype(int)), z[inside])
     depth[~np.isfinite(depth)] = 0.0
     return DepthImage(depth)
 

@@ -20,6 +20,8 @@ import numpy as np
 from .depth_image import DepthImage, ProjectionParams, unproject
 
 _TILE = 8      # px, side of the tiles whose depth range bounds a window's spread
+_FIRST_BATCH = 4        # candidates exactly scored in the first batch; most sweeps need no more
+_BATCH_CELLS = 1 << 14  # window cells per scoring call: its temporaries stay under 0.4 MB
 
 
 class NoCandidatesError(ValueError):
@@ -53,36 +55,38 @@ class Detection:
     position: np.ndarray  # vehicle frame, m
 
 
-def _window(padded: np.ndarray, v: int, u: int, half: int, pad: int) -> np.ndarray:
-    vc, uc = v + pad, u + pad
-    return padded[vc - half: vc + half + 1, uc - half: uc + half + 1]
+def _exact_scores(flat: np.ndarray, starts: np.ndarray, depths: np.ndarray, cells,
+                  params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (e_inner, e_total) of candidates that share ``cells`` (``_window_cells``).
+
+    ``starts`` index their windows' top-left cells in ``flat``. Each term
+    array is C-contiguous, one candidate per row, so a row sums in the order
+    ``np.sum`` takes over that candidate's cells alone.
+    """
+    inner, ring = cells
+    d = depths[:, None]
+    vals = flat[starts[:, None] + inner]
+    diffs = np.abs(vals - d)
+    if params.inner_skip_empty:     # lenient mode: empty inner pixels cost 0
+        diffs *= vals != 0.0
+    e_inner = diffs.sum(axis=1)
+    # band: empty pixels cost 0, pixels near the candidate depth 1/epsilon,
+    # others 1/|depth difference|; max() gives where()'s bits, with no 1/0
+    vals = flat[starts[:, None] + ring]
+    filled = vals != 0.0
+    costs = np.abs(np.subtract(vals, d, out=vals), out=vals)
+    np.divide(1.0, np.maximum(costs, params.depth_epsilon, out=costs), out=costs)
+    costs *= filled
+    return e_inner, e_inner + costs.sum(axis=1)
 
 
-def _inner_term(window: np.ndarray, center_depth: float, skip_empty: bool) -> float:
-    diffs = np.abs(window - center_depth)
-    if skip_empty:
-        diffs = np.where(window == 0.0, 0.0, diffs)
-    return float(np.sum(diffs))
-
-
-def _outer_term(values: np.ndarray, center_depth: float, epsilon: float) -> float:
-    # values: band pixels in row-major order; empty pixels cost 0, pixels
-    # near the candidate depth cost 1/epsilon, others 1/|depth difference|.
-    diffs = np.abs(values - center_depth)
-    with np.errstate(divide="ignore"):
-        contrib = np.where(
-            values == 0.0,
-            0.0,
-            np.where(diffs <= epsilon, 1.0 / epsilon, 1.0 / diffs),
-        )
-    return float(np.sum(contrib))
-
-
-def _band_mask(inner: int, band: int) -> np.ndarray:
+def _window_cells(inner: int, band: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major offsets of a window's inner and band cells from its top-left, rows ``width`` apart."""
     side = inner + 2 * band
-    mask = np.ones((side, side), dtype=bool)
-    mask[band: band + inner, band: band + inner] = False
-    return mask
+    grid = np.arange(side)[:, None] * width + np.arange(side)
+    ring = np.ones((side, side), dtype=bool)
+    ring[band: band + inner, band: band + inner] = False
+    return grid[band: band + inner, band: band + inner].ravel(), grid[ring]
 
 
 def _inner_sizes(depths: np.ndarray, params: KernelParams, proj: ProjectionParams) -> np.ndarray:
@@ -146,12 +150,12 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
     """Return the global dissimilarity argmin over every non-zero pixel.
 
     Ties break toward the smaller inner term, then row-major pixel order.
-    Candidates are scored exactly in ascending order of a lower bound on
-    their dissimilarity (``_lower_bounds``); the search stops at the first
-    bound above the best exact score, since no later candidate can win.
+    Candidates are scored exactly, in batches, in ascending order of a lower
+    bound on their dissimilarity (``_lower_bounds``); the search stops where
+    the bounds pass the best exact score, since no later candidate can win.
     """
     data = image.data
-    vs, us = np.nonzero(data)
+    vs, us = np.nonzero(data != 0.0)     # on bools: cheaper than on the floats
     if len(vs) == 0:
         raise NoCandidatesError("no candidates: depth image is empty")
     depths = data[vs, us]
@@ -166,22 +170,33 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
     cv, cu = vs - v0, us - u0     # candidates in crop coordinates
     bounds = _lower_bounds(crop, cv, cu, depths, sizes, params)
     padded = np.pad(crop, pad)
+    flat, width = padded.ravel(), padded.shape[1]
 
-    masks = {}
-    best = None     # (e_total, e_inner, row-major candidate index)
-    for i in np.argsort(bounds, kind="stable"):
-        if best is not None and bounds[i] > best[0]:
-            break
-        v, u, d_c, k = int(cv[i]), int(cu[i]), float(depths[i]), int(sizes[i])
-        if k not in masks:
-            masks[k] = _band_mask(k, band)
-        half_in = (k - 1) // 2
-        ei = _inner_term(_window(padded, v, u, half_in, pad), d_c, params.inner_skip_empty)
-        outer = _window(padded, v, u, half_in + band, pad)
-        eo = _outer_term(outer[masks[k]], d_c, params.depth_epsilon)
-        score = (ei + eo, ei, int(i))
-        if best is None or score < best:
-            best = score
+    # Batches grow from _FIRST_BATCH; the stop test runs between them. Any
+    # candidate a batch scores past the sequential stop has a bound, and so
+    # an exact score, above the best, so the argmin and tie-break hold. So
+    # does the order among equal bounds: all or none of them are scored.
+    order = np.argsort(bounds)
+    cells = {}
+    best, pos, size = None, 0, _FIRST_BATCH
+    while pos < len(order):
+        batch = order[pos: pos + size]
+        if best is not None:
+            batch = batch[: np.count_nonzero(bounds[batch] <= best[0])]
+            if len(batch) == 0:
+                break
+        scored = [] if best is None else [best]     # (e_total, e_inner, index) minima
+        for k in set(sizes[batch].tolist()):
+            if k not in cells:
+                cells[k] = _window_cells(k, band, width)
+            group, corner = batch[sizes[batch] == k], pad - (k - 1) // 2 - band
+            step = max(1, _BATCH_CELLS // (k + 2 * band) ** 2)     # caps the temporaries
+            for ids in (group[c: c + step] for c in range(0, len(group), step)):
+                starts = (cv[ids] + corner) * width + cu[ids] + corner    # windows' top-left
+                e_inner, e_total = _exact_scores(flat, starts, depths[ids], cells[k], params)
+                scored.append(min(zip(e_total.tolist(), e_inner.tolist(), ids.tolist())))
+        best = min(scored)
+        pos, size = pos + len(batch), 2 * size
 
     e_total, _, i = best
     u, v, d_c = int(us[i]), int(vs[i]), float(depths[i])

@@ -97,12 +97,21 @@ def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
     return rotation_about_z(rz) @ rotation_about_y(ry) @ rotation_about_x(rx)
 
 
+def _trace_skew(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """trace(R) and R's skew differences; ValueError unless the four are finite,
+    as they are exactly when the nine entries are (and no sum overflows)."""
+    trace = float(np.trace(r))
+    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if not all(map(math.isfinite, (trace, *skew.tolist()))):
+        raise ValueError("rotation matrix has a non-finite entry")
+    return trace, skew
+
+
 def rotation_log(rotation) -> np.ndarray:
     """Rotation vector (axis * angle) of a rotation matrix."""
     r = _vec(rotation)
-    cos_t = clamp_unit(float((np.trace(r) - 1.0) / 2.0))
-    theta = float(np.arccos(cos_t))
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    trace, skew = _trace_skew(r)
+    theta = float(np.arccos(clamp_unit((trace - 1.0) / 2.0)))
     if theta < 1e-7:
         return 0.5 * skew
     if theta > np.pi - 1e-5:
@@ -132,11 +141,8 @@ def rotation_angle(rotation) -> float:
     atan2 form: keeps full precision near the identity, where the
     arccos-of-trace expression loses half the significant digits.
     """
-    r = _vec(rotation)
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    sin_t = 0.5 * np.linalg.norm(skew)
-    cos_t = 0.5 * (np.trace(r) - 1.0)
-    return float(np.arctan2(sin_t, cos_t))
+    trace, skew = _trace_skew(_vec(rotation))
+    return float(np.arctan2(0.5 * np.linalg.norm(skew), 0.5 * (trace - 1.0)))
 
 
 def geodesic_step(start, target, max_step: float) -> np.ndarray:

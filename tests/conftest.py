@@ -1,12 +1,17 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dronepose import pipeline, scan_sim
 from dronepose.geom import euler_to_rotation
 from dronepose.pipeline import _SimSource
 from dronepose.scan_sim import TrajectorySpec
-from dronepose.scenario import load_scenario
+from dronepose.scenario import load_scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_OMEGA = 11.4 * 2.0 * np.pi / 60.0    # rad/s, the scenario default of 11.4 rpm
 
@@ -30,9 +35,28 @@ def rng():
 def acquisition_sweep():
     """(points, scenario) of exp1's first full sweep: about 440k returns,
     ground points behind the image plane and walls outside the field of view."""
-    scenario = load_scenario(Path(__file__).parent.parent / "scenarios"
-                             / "exp1_gentle_drift.scenario")
+    scenario = load_scenario(ROOT / "scenarios" / "exp1_gentle_drift.scenario")
     return _SimSource(scenario).sweep().points, scenario
+
+
+@pytest.fixture(scope="session")
+def cold_start_sweeps():
+    """{i: (points, scenario)} of the acquisition sweeps of perfbench's seed-0
+    ``cold_start`` inputs 5, 7 and 13: building corners that leave 376, 2316
+    and 380 candidates for ``detect`` to score exactly."""
+    workloads = sys.modules.get("perfbench_workloads")     # as test_golden loads it
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads     # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    inputs = workloads.cold_start_inputs(pipeline, scan_sim, str(ROOT), 0, count=14)
+    sweeps = {}
+    for i in (5, 7, 13):
+        scenario = parse_scenario(inputs[i].text, source=inputs[i].name)
+        sweeps[i] = _SimSource(scenario).sweep().points, scenario
+    return sweeps
 
 
 def manhattan_scenario_text(

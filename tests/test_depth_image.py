@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dronepose.depth_image import ProjectionParams, project, to_ascii_pgm, unproject
+import tracemalloc
+
+from dronepose.depth_image import _PROJECT_BLOCK, ProjectionParams, project, to_ascii_pgm, unproject
 
 
 @pytest.fixture
@@ -104,6 +106,45 @@ class TestProject:
         np.minimum.at(whole, (v[inside], u[inside]), z[inside])
         whole[~np.isfinite(whole)] = 0.0
         assert np.array_equal(project(points, p).data, whole)
+
+
+    @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
+    def test_memory_layout_does_not_change_the_image(self, acquisition_sweep, view):
+        # the block matmuls give other bits on another layout: an F-ordered
+        # copy of a sweep once changed about a quarter of a tilted view's pixels
+        points, scenario = acquisition_sweep
+        p = ProjectionParams(resolution=scenario.projection.resolution,
+                             half_fov=scenario.projection.half_fov, view_direction=view)
+        expected = project(points, p).data
+        assert np.count_nonzero(expected) > 5000
+        wide = np.zeros((len(points), 7))
+        wide[:, 1:6:2] = points
+        for layout in (points.copy(order="F"), wide[:, 1:6:2], wide[:, 1:6:2].T.T):
+            assert not layout.flags.c_contiguous
+            assert np.array_equal(project(layout, p).data, expected)
+
+    def test_c_ordered_points_are_not_copied(self, acquisition_sweep):
+        points, scenario = acquisition_sweep
+        tracemalloc.start()
+        try:
+            project(points, scenario.projection)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes / 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, _PROJECT_BLOCK + 123, 3 * _PROJECT_BLOCK + 99],
+                             ids=["first_block", "middle_block", "last_block"])
+    def test_non_finite_point_raises(self, params, value, row):
+        # a ValueError, not a RuntimeWarning from the matmul (an error in
+        # tier-1) nor a point dropped without a word
+        pts = np.random.default_rng(3).uniform(-3.0, 3.0, (3 * _PROJECT_BLOCK + 100, 3)) + [0, 0, 10]
+        for axis in range(3):
+            bad = pts.copy()
+            bad[row, axis] = value
+            with pytest.raises(ValueError, match="finite"):
+                project(bad, params)
 
 
 class TestUnproject:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dronepose.depth_image import DepthImage, ProjectionParams, project
 from dronepose.detector import (
+    _FIRST_BATCH,
     KernelParams,
     NoCandidatesError,
     _inner_sizes,
@@ -348,3 +351,61 @@ class TestDetectPrune:
             assert det.pixel == pixel
             assert det.dissimilarity == e
             assert det.depth == image.data[pixel[1], pixel[0]]
+
+    def blob_grid(self, rng):
+        # 100 identical drone-sized blobs, each centre scoring exactly 0 with a
+        # bound of 0, among clutter: a tie run far longer than the first batch
+        data = random_image(rng, 128, 150)
+        for cv in range(6, 128, 12):
+            for cu in range(6, 128, 12):
+                data[cv - 4: cv + 5, cu - 4: cu + 5] = 0.0     # an empty 3 px band
+                data[cv - 1: cv + 2, cu - 1: cu + 2] = 20.0
+        return data
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_tie_run_crosses_batches(self, lenient):
+        # at depth 20 the inner square is 3 px (focal 64, width 1); a stop test
+        # that dropped equal bounds, or scored only a batch's prefix of a run,
+        # would return another blob than the row-major first
+        proj = ProjectionParams(resolution=128, half_fov=np.deg2rad(45.0))
+        params = KernelParams(drone_width=1.0, outer_band_px=3, inner_skip_empty=lenient)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            image = DepthImage(self.blob_grid(rng))
+            det = detect(image, params, proj)
+            pixel, e = oracle_detect(image, params, proj)
+            assert det.pixel == pixel
+            assert det.dissimilarity == e == 0.0
+            _, _, bounds = detector_bounds(image, params, proj)
+            assert np.count_nonzero(bounds <= e) > 4 * _FIRST_BATCH
+
+    @pytest.mark.parametrize("index", [5, 7, 13])
+    def test_real_sweeps_with_many_exact_candidates(self, cold_start_sweeps, index):
+        # building corners in full cold-start sweeps: hundreds to thousands of
+        # candidates are scored exactly, over many batches and inner sizes
+        points, scenario = cold_start_sweeps[index]
+        proj, params = scenario.projection, scenario.kernel
+        image = project(points, proj)
+        det = detect(image, params, proj)
+        pixel, e = oracle_detect(image, params, proj)
+        assert det.pixel == pixel
+        assert det.dissimilarity == e
+        vs, us, bounds = detector_bounds(image, params, proj)
+        scored = bounds <= e
+        assert np.count_nonzero(scored) >= 300
+        assert len(np.unique(_inner_sizes(image.data[vs, us][scored], params, proj))) > 1
+
+
+def test_scoring_memory_is_bounded(cold_start_sweeps):
+    # 2316 candidates are scored exactly here; all their windows at once would
+    # take about 40 MB per temporary. The lower bounds peak at about 3.4 MB,
+    # and the scoring at about 2.1 MB, of which the capped batches take 0.4.
+    points, scenario = cold_start_sweeps[7]
+    image = project(points, scenario.projection)
+    tracemalloc.start()
+    try:
+        detect(image, scenario.kernel, scenario.projection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -164,6 +164,16 @@ class TestLogExp:
         r = rotation_about_axis((0, 0, 1), 1e-9)
         assert np.linalg.norm(rotation_log(r)) == pytest.approx(1e-9, rel=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)])
+    def test_non_finite_entry_raises(self, bad, entry):
+        # an infinite diagonal entry used to read as the identity (angle 0)
+        r = rotation_about_axis((1.0, 2.0, 3.0), 0.7)
+        r[entry] = bad
+        for fn in (rotation_log, rotation_angle):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(r)
+
 
 class TestGeodesicStep:
     def test_reaches_target_when_close(self):
