@@ -221,10 +221,10 @@ class IndirectObsModel:
 class Fans(NamedTuple):
     """F planar fans of rays and the primitives each may hit (``Scene.fan_candidates``)."""
 
-    rows: np.ndarray      # (groups + rects + 1, F) bools
+    rows: np.ndarray      # (bounds + rects + 1, F) bools
     origins: np.ndarray   # (F, 3)
     axes: np.ndarray      # (F, 3) unit: the direction halfway between the end rays
-    normals: np.ndarray   # (F, 3) unit normal of the fan's plane
+    normals: np.ndarray   # (F, 3) unit normal of the fan's plane; zero for a fan of one ray
     spread: float         # rad: every ray lies within it of the fan's axis
 
     def take(self, k):
@@ -240,29 +240,30 @@ class Scene:
     no return from it.
 
     Each sphere, box and blob also gets an enclosing sphere, inflated by
-    ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only
-    on the rays that can meet its sphere (bounding-volume culling, Kay &
-    Kajiya, SIGGRAPH 1986). ``fan_candidates`` culls whole firings first,
-    by the plane and the cone that hold each firing's rays (packet
-    culling, Wald et al., Eurographics 2001). For a cast's firings the
-    spheres descend one level further: each sphere of a blob is tested
-    against each firing kept for the blob, as the blob's sphere was, and
-    the exact ray-sphere test runs on the rays of the (sphere, firing)
-    pairs left, without a per-ray test (Reshetov et al., SIGGRAPH 2005).
-    Every (ray, primitive) distance is computed as without culling and the
-    minimum is exact, so returns are bit-identical.
+    ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only on
+    the rays that can meet its sphere (bounding-volume culling, Kay & Kajiya,
+    SIGGRAPH 1986). ``fan_candidates`` culls whole firings first, by the plane
+    and the cone that hold each firing's rays (packet culling, Wald et al.,
+    Eurographics 2001). The spheres descend one level further: each sphere of a
+    blob is tested against each firing kept for the blob, as the blob's sphere
+    was, and the exact ray-sphere test runs on the rays of the (sphere, firing)
+    pairs left, without a per-ray test (Reshetov et al., SIGGRAPH 2005). Rays
+    given without firings take the same path as fans of one ray, marked by a
+    zero normal. Every (ray, primitive) distance is computed as without culling
+    and the minimum is exact, so returns are bit-identical.
     """
 
     def __init__(self, primitives, seed: int = 0):
         self.primitives = list(primitives)
         centers, radii = [], []
-        self.groups = []          # (_ray_box, lo, hi), or (_ray_spheres, first, end) of its spheres
-        bounds = []               # (center, radius) of the sphere enclosing each group
+        bounds = []               # (center, radius) of the sphere enclosing each box and group
+        self.boxes = []           # (bound row, lo, hi)
+        self.sphere_groups = []   # (bound row, first, end) of the group's spheres
         self.rects = []
         for idx, prim in enumerate(self.primitives):
             if prim.kind == "box":
                 half = prim.dimensions / 2.0
-                self.groups.append((_ray_box, prim.center - half, prim.center + half))
+                self.boxes.append((len(bounds), prim.center - half, prim.center + half))
                 bounds.append((prim.center, np.linalg.norm(half)))
             elif prim.kind == "ground_plane":
                 self.rects.append((prim.center[2], prim.center[0], prim.center[1],
@@ -276,7 +277,7 @@ class Scene:
                     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
                     dist = prim.scatter_radius * np.cbrt(rng.uniform(size=prim.count))
                     pts, reach = prim.center + raw * dist[:, None], prim.scatter_radius
-                self.groups.append((_ray_spheres, len(centers), len(centers) + len(pts)))
+                self.sphere_groups.append((len(bounds), len(centers), len(centers) + len(pts)))
                 bounds.append((prim.center, reach + r))
                 centers.extend(pts)
                 radii.extend([r] * len(pts))
@@ -286,12 +287,12 @@ class Scene:
         self.bound_radii = _pad(np.array([r for _, r in bounds], dtype=float))
 
     def fan_candidates(self, origins, u, v, beams, drone_centers=None, drone_half=0.0):
-        """Which primitives each of F fans of rays can hit, as ``Fans``: (groups +
+        """Which primitives each of F fans of rays can hit, as ``Fans``: (bounds +
         rects + 1, F) bool rows next to the fans' geometry.
 
         Fan f holds the rays cos(b) u[f] + sin(b) v[f] from ``origins[f]``, for
         the elevations b in ``beams``; u[f] and v[f] are orthonormal. Rows follow
-        ``groups``, then ``rects``, then the drone box around ``drone_centers[f]``,
+        the bounds, then ``rects``, then the drone box around ``drone_centers[f]``,
         and are False only where no ray of the fan can hit (``_fan_may_hit``).
 
         A ray hits a rectangle at z0 only when it points toward the plane
@@ -306,18 +307,17 @@ class Scene:
         axes = np.cos((hi + lo) / 2.0) * u + np.sin((hi + lo) / 2.0) * v
         (ux, uy, uz), (vx, vy, vz) = u.T, v.T
         normals = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx]).T
-        rows = np.zeros((len(self.groups) + len(self.rects) + 1, len(origins)), dtype=bool)
-        if self.groups:
-            rows[:len(self.groups)] = _fan_may_hit(origins, axes, normals,
-                                                   self.bound_centers[:, None],
-                                                   self.bound_radii[:, None], spread)
+        n_bounds = len(self.bound_radii)
+        rows = np.zeros((n_bounds + len(self.rects) + 1, len(origins)), dtype=bool)
+        rows[:n_bounds] = _fan_may_hit(origins, axes, normals, self.bound_centers[:, None],
+                                       self.bound_radii[:, None], spread)
         down = up = True
         if spread < np.pi / 2.0:
             z_lo, z_hi = np.cos(lo) * uz + np.sin(lo) * vz, np.cos(hi) * uz + np.sin(hi) * vz
             down = np.minimum(z_lo, z_hi) <= _FAN_SLACK
             up = np.maximum(z_lo, z_hi) >= -_FAN_SLACK
         oz = origins[:, 2]
-        for k, rect in enumerate(self.rects, start=len(self.groups)):
+        for k, rect in enumerate(self.rects, start=n_bounds):
             rows[k] = ((oz > rect[0]) & down) | ((oz < rect[0]) & up)
         if drone_centers is not None and drone_half > 0.0:
             rows[-1] = _fan_may_hit(origins, axes, normals, drone_centers,
@@ -333,48 +333,43 @@ class Scene:
         copy, and every gather takes whole rows (``np.take(rows, sel, axis=1)``).
         ``fans``, if given, is ``fan_candidates``' ``Fans`` for the F fans whose
         rays these are, laid out fan by fan; ``drone_centers`` then holds one
-        centre per fan. Without ``fans`` every ray is a fan of its own that
-        every row keeps, with its own drone centre. Each box and the drone
-        box are tested only on the rays of the fans their rows keep that pass
-        the per-ray bound test. Without ``fans`` so is each sphere group, on
-        all of its spheres; with ``fans`` each sphere of a group is tested
-        only on the rays of the fans that its group's row and ``_sphere_fans``
-        keep. Ground rectangles are tested on every ray, as most fans kept
-        reach the ground. ``t`` is the same, bit for bit, as testing every ray
-        against every primitive.
+        centre per fan. Without ``fans`` each ray is a fan of its own, with its
+        own drone centre, axis the ray, zero normal, spread 0, bound rows from
+        ``_may_hit`` and the other rows True; a non-finite origin, direction or
+        drone centre raises ``ValueError``. Each box and the drone box are tested
+        only on the rays of the fans their rows keep that pass the per-ray bound
+        test, and each sphere of a group only on the rays of the fans that its
+        group's row and ``_sphere_fans`` keep. Ground rectangles are tested on
+        every ray, as most fans kept reach the ground. ``t`` is the same, bit for
+        bit, as testing every ray against every primitive.
         """
+        if fans is None:
+            if not all(np.isfinite(a).all() for a in (origins, dirs, drone_centers)
+                       if a is not None):
+                raise ValueError("ray origins, directions and drone centres must be finite")
+            rows = np.ones((len(self.bound_radii) + len(self.rects) + 1, len(origins)), dtype=bool)
+            rows[:len(self.bound_radii)] = _may_hit(origins, dirs, self.bound_centers[:, None],
+                                                    self.bound_radii[:, None])
+            fans = Fans(rows, origins, dirs, np.zeros((len(origins), 3)), 0.0)
         o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
-        every = np.arange(len(origins))
-        per_fan = 1 if fans is None else len(origins) // max(len(fans.origins), 1)
-
-        def rays(row):
-            return every if fans is None else _fan_rays(np.flatnonzero(fans.rows[row]), per_fan)
-
+        per_fan = len(origins) // max(len(fans.origins), 1)
         t = np.full(len(origins), np.inf)
-        spheres, pairs = [], []   # (group, first, end) of sphere groups kept; (sphere, ray) pairs
-        for g, ((exact, a, b), c, radius) in enumerate(zip(self.groups, self.bound_centers,
-                                                           self.bound_radii)):
-            if exact is _ray_box:
-                sel = _pass(o, d, c, radius, rays(g))
-                if len(sel):
-                    t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
-                                                         np.take(d, sel, axis=1).T, a, b))
-            elif fans is None:
-                sel = _pass(o, d, c, radius, every)
-                pairs.append((np.repeat(np.arange(a, b), len(sel)), np.tile(sel, b - a)))
-            elif fans.rows[g].any():
-                spheres.append((g, a, b))
+        for g, lo, hi in self.boxes:
+            sel = _pass(o, d, self.bound_centers[g], self.bound_radii[g],
+                        _fan_rays(np.flatnonzero(fans.rows[g]), per_fan))
+            if len(sel):
+                t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
+                                                     np.take(d, sel, axis=1).T, lo, hi))
+        spheres = [group for group in self.sphere_groups if fans.rows[group[0]].any()]
         if spheres:
             sphere, fan = _sphere_fans(self.sphere_centers, _pad(self.sphere_radii), spheres, fans)
-            pairs.append((np.repeat(sphere, per_fan), _fan_rays(fan, per_fan)))
-        if pairs:
             _ray_spheres(o, d, self.sphere_centers, self.sphere_radii,
-                         *(np.concatenate(p) for p in zip(*pairs)), t)
+                         np.repeat(sphere, per_fan), _fan_rays(fan, per_fan), t)
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(o.T, d.T, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
             centers = np.ascontiguousarray(drone_centers.T)
-            sel = rays(-1)
+            sel = _fan_rays(np.flatnonzero(fans.rows[-1]), per_fan)
             sel = _pass(o, d, np.take(centers, sel // per_fan, axis=1).T,
                         _pad(np.sqrt(3.0) * drone_half), sel)
             if len(sel):
@@ -397,7 +392,8 @@ def _sphere_fans(centers, radii, groups, fans):
     keeps, for each (group, first, end) of ``groups``. A plane pass over those
     pairs runs first, |c.n - o.n| <= r + ``_FAN_SLACK`` (|o| + |c| + r + 1) with
     |c| + r taken at its largest over the group: ``_fan_may_hit``'s plane test
-    with a wider slack (see there)."""
+    with a wider slack (see there). A fan of one ray, marked by a zero normal,
+    passes both plane tests."""
     o, n = fans.origins, fans.normals
     along = o[:, 0] * n[:, 0] + o[:, 1] * n[:, 1] + o[:, 2] * n[:, 2]
     slack = _FAN_SLACK * np.sqrt(o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1] + o[:, 2] * o[:, 2])
@@ -448,19 +444,22 @@ def _fan_may_hit(origins, axes, normals, centers, radius, spread):
     asin(r / |w|), so a fan's ray has angle(axis, w) <= s + asin(r / |w|).
     While that sum is below pi, which s < pi/2 ensures, this reads
     w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here as for rays;
-    a fan of s >= pi/2 gets the plane test alone. The radius is grown by the
-    slack ``_FAN_SLACK (|w| + r + 1)``, over ten times the reach of the ray
-    test's rounding (a few 1e-8 |w| near the sphere's surface) and far more
-    than a computed ray's distance from its fan's plane (a few ulps of its
-    length); the slack is also subtracted from the threshold, covering the
-    rounding of the axis, the normal and this test. So a fan is dropped only
-    when no ray of it passes the ray test, and the rays of the fans kept see
-    the ray test and the exact tests with the same arithmetic on the same bits.
+    a fan of s >= pi/2 gets the plane test alone. A zero normal marks a fan
+    of one ray (s = 0), which lies in every plane: the plane test passes and
+    the cone test is the ray test with the slack added. The radius is grown
+    by the slack ``_FAN_SLACK (|w| + r + 1)``, over ten times the reach of
+    the ray test's rounding (a few 1e-8 |w| near the sphere's surface) and
+    far more than a computed ray's distance from its fan's plane (a few ulps
+    of its length); the slack is also subtracted from the threshold,
+    covering the rounding of the axis, the normal and this test. So a fan is
+    dropped only when no ray of it passes the ray test, and the rays of the
+    fans kept see the ray test and the exact tests with the same arithmetic
+    on the same bits.
 
-    A cast applies the same test to each sphere of a blob and each fan that
-    the blob's row keeps (``_sphere_fans``), with the sphere's padded radius,
-    and runs the exact test on every ray of the pairs kept, without a ray
-    test. That drops no pair that can hit: the exact test finds a hit only
+    ``nearest_hit`` applies the same test to each sphere of a blob and each
+    fan that the blob's row keeps (``_sphere_fans``), with the sphere's padded
+    radius, and runs the exact test on every ray of the pairs kept, without a
+    ray test. That drops no pair that can hit: the exact test finds a hit only
     where the ray passes the ray test for the padded radius (``_pad`` covers
     its rounding, as for a standalone sphere's bound), and then this test
     keeps the fan. The plane pass before it widens the plane test alone: its

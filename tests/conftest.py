@@ -16,6 +16,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP_OMEGA = 11.4 * 2.0 * np.pi / 60.0    # rad/s, the scenario default of 11.4 rpm
 
 
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded once as the module ``perfbench_workloads``."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads     # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    return workloads
+
+
 def static_trajectory(position, rpy_deg=(0.0, 0.0, 0.0), t_end=1000.0):
     rot = euler_to_rotation(*np.deg2rad(rpy_deg))
     return TrajectorySpec([0.0, t_end], [position, position], [rot, rot])
@@ -44,14 +56,7 @@ def cold_start_sweeps():
     """{i: (points, scenario)} of the acquisition sweeps of perfbench's seed-0
     ``cold_start`` inputs 5, 7 and 13: building corners that leave 376, 2316
     and 380 candidates for ``detect`` to score exactly."""
-    workloads = sys.modules.get("perfbench_workloads")     # as test_golden loads it
-    if workloads is None:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads     # its dataclasses look their module up
-        spec.loader.exec_module(workloads)
-    inputs = workloads.cold_start_inputs(pipeline, scan_sim, str(ROOT), 0, count=14)
+    inputs = perfbench_workloads().cold_start_inputs(pipeline, scan_sim, str(ROOT), 0, count=14)
     sweeps = {}
     for i in (5, 7, 13):
         scenario = parse_scenario(inputs[i].text, source=inputs[i].name)

@@ -16,7 +16,6 @@ inputs 5 and 13 lock onto a building corner.
 """
 
 import hashlib
-import importlib.util
 import platform
 import sys
 from pathlib import Path
@@ -28,15 +27,11 @@ from dronepose import pipeline, scan_sim
 from dronepose.pipeline import run
 from dronepose.report import compute_metrics, export
 from dronepose.scenario import load_scenario, parse_scenario
+from conftest import ROOT, perfbench_workloads
 
-ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               ROOT / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads     # its dataclasses look their module up
-_spec.loader.exec_module(workloads)
+workloads = perfbench_workloads()
 GOLDEN = workloads.GOLDEN
 
 GENERATED = {

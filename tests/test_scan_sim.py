@@ -3,6 +3,7 @@ import pytest
 
 from dronepose import scan_sim
 from dronepose.geom import Pose, angle_between, euler_to_rotation, rotation_about_z
+from dronepose.scenario import load_scenario
 from dronepose.scan_sim import (
     DroneModel,
     IndirectObsModel,
@@ -22,7 +23,7 @@ from dronepose.scan_sim import (
     _ray_rect_z,
     _sphere_fans,
 )
-from conftest import SWEEP_OMEGA, static_trajectory
+from conftest import ROOT, SWEEP_OMEGA, static_trajectory
 from oracles import (
     dense_nearest_hit,
     reference_cast,
@@ -205,7 +206,7 @@ class TestBroadPhase:
             scene = Scene([ScenePrimitive("sphere", shift + rng.uniform(-12, 12, 3),
                                           (rng.uniform(0.05, 3),) * 3)
                            for _ in range(rng.integers(1, 6))])
-            assert len(scene.groups) == len(scene.primitives) == len(scene.sphere_centers)
+            assert len(scene.sphere_groups) == len(scene.primitives) == len(scene.sphere_centers)
             origins, dirs = edge_case_rays(rng, scene, shift)
             got = scene.nearest_hit(origins, dirs)
             assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
@@ -219,6 +220,43 @@ class TestBroadPhase:
         for i in range(0, len(origins), 37):
             o, d = origins[i][None], dirs[i][None]
             assert np.array_equal(scene.nearest_hit(o, d), dense_nearest_hit(scene, o, d))
+
+    def test_bare_rays_get_the_per_sphere_cull(self, monkeypatch):
+        # 200 rays aimed into a 20-sphere blob's bound: each of its spheres
+        # goes to the exact test only with the rays whose fans of one keep it
+        rng = np.random.default_rng(20870)
+        blob = ScenePrimitive("sparse_blob", (12.0, -3.0, 4.0), (0.3, 0.3, 0.3), count=20,
+                              scatter_radius=1.5)
+        scene = Scene([blob], seed=5)
+        origins = rng.uniform(-2.0, 2.0, (200, 3))
+        aim = blob.center + unit(rng.normal(size=(200, 3))) * rng.uniform(0.0, 1.4, (200, 1))
+        dirs = unit(aim - origins)
+        assert np.all(_may_hit(origins, dirs, scene.bound_centers[0], scene.bound_radii[0]))
+        pairs = []
+        real = scan_sim._ray_spheres
+
+        def ray_spheres(o, d, centers, radii, sphere, ray, t):
+            pairs.append(len(ray))
+            real(o, d, centers, radii, sphere, ray, t)
+
+        monkeypatch.setattr(scan_sim, "_ray_spheres", ray_spheres)
+        got = scene.nearest_hit(origins, dirs)
+        assert sum(pairs) < len(scene.sphere_centers) * len(origins)
+        assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
+        assert np.count_nonzero(np.isfinite(got)) > 10
+
+    @pytest.mark.parametrize("field, value", [("origin", np.nan), ("dir", np.inf),
+                                              ("dir", -np.inf), ("drone", np.nan)])
+    def test_non_finite_bare_rays_raise(self, field, value):
+        scenario = load_scenario(ROOT / "scenarios" / "exp1_gentle_drift.scenario")
+        scene = Scene(scenario.primitives, seed=scenario.seed)
+        rng = np.random.default_rng(20871)
+        rays = {"origin": rng.uniform(-5.0, 5.0, (5, 3)), "dir": unit(rng.normal(size=(5, 3)))}
+        rays["drone"] = rays["origin"] + 4.0 * rays["dir"]
+        rays[field][2, 1] = value
+        drone = (rays["drone"], 0.25) if field == "drone" else ()
+        with pytest.raises(ValueError, match="finite"):
+            scene.nearest_hit(rays["origin"], rays["dir"], *drone)
 
 
 def planar_fans(rng, origins, rays, beams, normals=None):
@@ -305,7 +343,7 @@ class TestFanCull:
         for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
                 shift, spread, 20864):
             fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
-            assert fans.rows.shape == (len(scene.groups) + len(scene.rects) + 1, len(fan_o))
+            assert fans.rows.shape == (len(scene.bound_radii) + len(scene.rects) + 1, len(fan_o))
             got = scene.nearest_hit(origins, dirs, fan_drone, half, fans)   # a centre per fan
             drone = np.repeat(fan_drone, len(beams), axis=0)
             assert np.array_equal(got, scene.nearest_hit(origins, dirs, drone, half))
@@ -337,10 +375,9 @@ class TestFanCull:
         for scene, half, beams, fan_o, u, v, fan_drone, origins, dirs in self.fan_cases(
                 shift, spread, 20869):
             fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
-            groups = [(g, a, b) for g, (exact, a, b) in enumerate(scene.groups)
-                      if exact is not _ray_box]
             kept = np.zeros((len(scene.sphere_centers), len(fan_o)), dtype=bool)
-            kept[_sphere_fans(scene.sphere_centers, _pad(scene.sphere_radii), groups, fans)] = True
+            kept[_sphere_fans(scene.sphere_centers, _pad(scene.sphere_radii),
+                              scene.sphere_groups, fans)] = True
             # spheres grazed by planes at r (1 - 1e-9), which cut them
             first_cut = len(fan_o) - 2 * len(scene.bound_centers) - 4 * len(kept)
             for s, (c, r) in enumerate(zip(scene.sphere_centers, scene.sphere_radii)):
