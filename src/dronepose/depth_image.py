@@ -66,10 +66,6 @@ class DepthImage:
         if np.any(self.data < 0.0) or not np.all(np.isfinite(self.data)):
             raise ValueError("depth values must be finite and >= 0")
 
-    @property
-    def resolution(self) -> int:
-        return self.data.shape[0]
-
 
 def project(points, params: ProjectionParams) -> DepthImage:
     """Bin points into the image, keeping the smallest depth per pixel.
@@ -116,11 +112,3 @@ def unproject(pixel, depth: float, params: ProjectionParams) -> np.ndarray:
     y = (v + 0.5 - n / 2.0) * depth / f
     return x * params.u_axis + y * params.v_axis + depth * params.w_axis
 
-
-def to_ascii_pgm(image: DepthImage) -> str:
-    """Debug dump as ASCII PGM, depth in integer millimeters (0 = empty)."""
-    mm = np.rint(image.data * 1000.0).astype(int)
-    n = image.resolution
-    lines = ["P2", f"{n} {n}", str(max(1, int(mm.max())))]
-    lines.extend(" ".join(str(x) for x in row) for row in mm)
-    return "\n".join(lines) + "\n"

@@ -240,17 +240,17 @@ class Scene:
     no return from it.
 
     Each sphere, box and blob also gets an enclosing sphere, inflated by
-    ``_BOUND_PAD``, and ``nearest_hit`` runs a primitive's exact test only on
-    the rays that can meet its sphere (bounding-volume culling, Kay & Kajiya,
-    SIGGRAPH 1986). ``fan_candidates`` culls whole firings first, by the plane
-    and the cone that hold each firing's rays (packet culling, Wald et al.,
-    Eurographics 2001). The spheres descend one level further: each sphere of a
+    ``_BOUND_PAD`` (bounding volumes, Kay & Kajiya, SIGGRAPH 1986).
+    ``fan_candidates`` culls whole firings by the plane and the cone that hold
+    each firing's rays (packet culling, Wald et al., Eurographics 2001), and
+    ``nearest_hit`` runs a box's exact test on every ray of the firings kept
+    for its sphere. The spheres descend one level further: each sphere of a
     blob is tested against each firing kept for the blob, as the blob's sphere
-    was, and the exact ray-sphere test runs on the rays of the (sphere, firing)
-    pairs left, without a per-ray test (Reshetov et al., SIGGRAPH 2005). Rays
-    given without firings take the same path as fans of one ray, marked by a
-    zero normal. Every (ray, primitive) distance is computed as without culling
-    and the minimum is exact, so returns are bit-identical.
+    was, and the exact ray-sphere test runs on every ray of the (sphere,
+    firing) pairs left (Reshetov et al., SIGGRAPH 2005). Rays given without
+    firings are fans of one ray, built by ``fan_candidates``. Every (ray,
+    primitive) distance is computed as without culling and the minimum is
+    exact, so returns are bit-identical.
     """
 
     def __init__(self, primitives, seed: int = 0):
@@ -334,32 +334,30 @@ class Scene:
         ``fans``, if given, is ``fan_candidates``' ``Fans`` for the F fans whose
         rays these are, laid out fan by fan; ``drone_centers`` then holds one
         centre per fan. Without ``fans`` each ray is a fan of its own, with its
-        own drone centre, axis the ray, zero normal, spread 0, bound rows from
-        ``_may_hit`` and the other rows True; a non-finite origin, direction or
-        drone centre raises ``ValueError``. Each box and the drone box are tested
-        only on the rays of the fans their rows keep that pass the per-ray bound
-        test, and each sphere of a group only on the rays of the fans that its
-        group's row and ``_sphere_fans`` keep. Ground rectangles are tested on
-        every ray, as most fans kept reach the ground. ``t`` is the same, bit for
-        bit, as testing every ray against every primitive.
+        own drone centre: ``fan_candidates`` with the ray as u, a zero v and one
+        beam at elevation 0 gives axis the ray, zero normal and spread 0. A
+        non-finite origin, direction or drone centre then raises ``ValueError``.
+
+        Each exact test runs on every ray of the fans its row keeps: each box
+        and the drone box on the fans of their rows, each sphere of a group on
+        the fans that its group's row and ``_sphere_fans`` keep. Ground
+        rectangles are tested on every ray, since most rays cast lie in fans
+        whose rectangle row is kept (90 % on exp1, 64 % on exp2), and a gather
+        of only those rays replayed slower. No ray that can hit is dropped (see
+        ``_fan_may_hit``), so ``t`` is the same, bit for bit, as testing every
+        ray against every primitive.
         """
         if fans is None:
             if not all(np.isfinite(a).all() for a in (origins, dirs, drone_centers)
                        if a is not None):
                 raise ValueError("ray origins, directions and drone centres must be finite")
-            rows = np.ones((len(self.bound_radii) + len(self.rects) + 1, len(origins)), dtype=bool)
-            rows[:len(self.bound_radii)] = _may_hit(origins, dirs, self.bound_centers[:, None],
-                                                    self.bound_radii[:, None])
-            fans = Fans(rows, origins, dirs, np.zeros((len(origins), 3)), 0.0)
+            fans = self.fan_candidates(origins, dirs, np.zeros_like(dirs), np.zeros(1),
+                                       drone_centers, drone_half)
         o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
         per_fan = len(origins) // max(len(fans.origins), 1)
         t = np.full(len(origins), np.inf)
         for g, lo, hi in self.boxes:
-            sel = _pass(o, d, self.bound_centers[g], self.bound_radii[g],
-                        _fan_rays(np.flatnonzero(fans.rows[g]), per_fan))
-            if len(sel):
-                t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
-                                                     np.take(d, sel, axis=1).T, lo, hi))
+            _box_hits(o, d, _fan_rays(np.flatnonzero(fans.rows[g]), per_fan), lo, hi, t)
         spheres = [group for group in self.sphere_groups if fans.rows[group[0]].any()]
         if spheres:
             sphere, fan = _sphere_fans(self.sphere_centers, _pad(self.sphere_radii), spheres, fans)
@@ -368,21 +366,24 @@ class Scene:
         for z0, cx, cy, hx, hy in self.rects:
             t = np.minimum(t, _ray_rect_z(o.T, d.T, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
-            centers = np.ascontiguousarray(drone_centers.T)
-            sel = _fan_rays(np.flatnonzero(fans.rows[-1]), per_fan)
-            sel = _pass(o, d, np.take(centers, sel // per_fan, axis=1).T,
-                        _pad(np.sqrt(3.0) * drone_half), sel)
-            if len(sel):
-                c = np.take(centers, sel // per_fan, axis=1).T
-                t[sel] = np.minimum(t[sel], _ray_box(np.take(o, sel, axis=1).T,
-                                                     np.take(d, sel, axis=1).T,
-                                                     c - drone_half, c + drone_half))
+            ray = _fan_rays(np.flatnonzero(fans.rows[-1]), per_fan)
+            c = np.take(drone_centers, ray // per_fan, axis=0)
+            _box_hits(o, d, ray, c - drone_half, c + drone_half, t)
         return t
 
 
 def _fan_rays(fan, per_fan):
     """Indices of the rays of the fans ``fan`` (indices), fans laid out in turn."""
     return (fan[:, None] * per_fan + np.arange(per_fan)).ravel()
+
+
+def _box_hits(o, d, ray, lo, hi, t):
+    """Lower ``t`` at the rays ``ray`` (indices) to their ``_ray_box`` hits on the
+    box ``lo`` to ``hi``, one box or one per ray; rays are gathered from the (3, n)
+    rows ``o`` and ``d``."""
+    if len(ray):
+        t[ray] = np.minimum(t[ray], _ray_box(np.take(o, ray, axis=1).T,
+                                             np.take(d, ray, axis=1).T, lo, hi))
 
 
 def _sphere_fans(centers, radii, groups, fans):
@@ -412,30 +413,13 @@ def _sphere_fans(centers, radii, groups, fans):
     return sphere[near], fan[near]
 
 
-def _pass(o, d, centers, radius, rays):
-    """The ``rays`` (indices) that pass ``_may_hit``, gathered from the (3, n) rows
-    ``o`` and ``d``; one center, or one per ray."""
-    if not len(rays):
-        return rays
-    return rays[_may_hit(np.take(o, rays, axis=1).T, np.take(d, rays, axis=1).T, centers, radius)]
-
-
 def _pad(radius):
     """Bounding radius grown so rounding in the exact tests cannot escape it."""
     return radius * (1.0 + _BOUND_PAD) + _BOUND_PAD
 
 
-def _may_hit(origins, dirs, centers, radius):
-    """Broad phase: True where a ray (origin, unit direction) can meet a sphere
-    (center, radius) at a positive distance; the arrays broadcast."""
-    wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
-    ahead = wx * dirs[..., 0] + wy * dirs[..., 1] + wz * dirs[..., 2]
-    gap = wx * wx + wy * wy + wz * wz - radius * radius
-    return (gap <= 0.0) | ((ahead >= 0.0) & (ahead * ahead >= gap))
-
-
 def _fan_may_hit(origins, axes, normals, centers, radius, spread):
-    """Fan phase: True where a ray of a fan may pass ``_may_hit`` for a sphere.
+    """Fan phase: True where a ray of a fan may meet a sphere at a positive distance.
 
     A fan's rays leave ``origins`` in the plane of unit normal ``normals``,
     within ``spread`` rad of the unit ``axes``; the arrays broadcast. With
@@ -443,30 +427,27 @@ def _fan_may_hit(origins, axes, normals, centers, radius, spread):
     |w.normal| <= r, and only if the origin is inside or angle(d, w) <=
     asin(r / |w|), so a fan's ray has angle(axis, w) <= s + asin(r / |w|).
     While that sum is below pi, which s < pi/2 ensures, this reads
-    w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here as for rays;
-    a fan of s >= pi/2 gets the plane test alone. A zero normal marks a fan
-    of one ray (s = 0), which lies in every plane: the plane test passes and
-    the cone test is the ray test with the slack added. The radius is grown
-    by the slack ``_FAN_SLACK (|w| + r + 1)``, over ten times the reach of
-    the ray test's rounding (a few 1e-8 |w| near the sphere's surface) and
-    far more than a computed ray's distance from its fan's plane (a few ulps
-    of its length); the slack is also subtracted from the threshold,
-    covering the rounding of the axis, the normal and this test. So a fan is
-    dropped only when no ray of it passes the ray test, and the rays of the
-    fans kept see the ray test and the exact tests with the same arithmetic
-    on the same bits.
+    w.axis >= cos(s) sqrt(|w|^2 - r^2) - sin(s) r, squared here; a fan of
+    s >= pi/2 gets the plane test alone. A zero normal marks a fan of one
+    ray (s = 0), which lies in every plane: the plane test passes and the
+    cone test is the ray's own. The radius is grown by the slack
+    ``_FAN_SLACK (|w| + r + 1)`` and the slack is subtracted from the
+    threshold; that covers a computed ray's distance from its fan's plane
+    (a few ulps of its length) and the rounding of the axis, the normal and
+    this test.
 
-    ``nearest_hit`` applies the same test to each sphere of a blob and each
-    fan that the blob's row keeps (``_sphere_fans``), with the sphere's padded
-    radius, and runs the exact test on every ray of the pairs kept, without a
-    ray test. That drops no pair that can hit: the exact test finds a hit only
-    where the ray passes the ray test for the padded radius (``_pad`` covers
-    its rounding, as for a standalone sphere's bound), and then this test
-    keeps the fan. The plane pass before it widens the plane test alone: its
-    slack holds |c| + |o| >= |w| and |c| + r at their largest over the blob,
-    and its rounding of c.n - o.n, a few 1e-16 (|c| + |o|), lies far inside
-    that slack. Each pair's distance is computed as without culling, so the
-    minimum over the pairs kept has the same bits.
+    ``nearest_hit`` runs the exact tests on every ray of the fans this test
+    keeps for a primitive's padded bounding sphere: a box's, a sphere
+    group's, the drone box's and, in ``_sphere_fans``, each sphere's own. That drops no ray that can
+    hit. The exact tests find a hit only on a ray that comes within the
+    primitive's bound at a positive distance, up to their rounding: ``_pad``
+    covers the slab test's (a few ulps of |w|), and the sphere test's, the
+    square root of its rounding of |w|^2, reaches a few 1e-8 |w| past r,
+    under a tenth of the slack. The plane pass of ``_sphere_fans`` widens
+    the plane test alone: its slack holds |c| + |o| >= |w| and |c| + r at
+    their largest over the blob, and its rounding of c.n - o.n, a few 1e-16
+    (|c| + |o|), lies far inside that slack. Each (ray, primitive) distance
+    is computed as without culling, so the minimum has the same bits.
     """
     wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
     dist2 = wx * wx + wy * wy + wz * wz

@@ -18,7 +18,8 @@ firing tested against every primitive (``dense_nearest_hit``, whose
 ray-sphere test keeps its einsum form and whose slab test its broadcast
 form). It shares no culling code with the library, only the
 ground-rectangle test and ``positions_at``, and pins the bits of
-everything the rewrites touched.
+everything the rewrites touched. ``reference_may_hit`` is the per-ray
+bounding-sphere test that the library's culls must keep every ray of.
 """
 
 import math
@@ -275,6 +276,16 @@ def reference_ray_box(origins, dirs, lo, hi):
     t_far = np.minimum(np.minimum(hi_t[:, 0], hi_t[:, 1]), hi_t[:, 2])
     hit = (t_far >= t_near) & (t_near > _RAY_EPS)
     return np.where(hit, t_near, np.inf)
+
+
+def reference_may_hit(origins, dirs, centers, radius):
+    """Per-ray bounding-sphere test: True where a ray (origin, unit direction)
+    can meet a sphere (center, radius) at a positive distance; the arrays
+    broadcast. The spec that the fan and per-sphere culls must not undercut."""
+    wx, wy, wz = (centers[..., i] - origins[..., i] for i in range(3))
+    ahead = wx * dirs[..., 0] + wy * dirs[..., 1] + wz * dirs[..., 2]
+    gap = wx * wx + wy * wy + wz * wz - radius * radius
+    return (gap <= 0.0) | ((ahead >= 0.0) & (ahead * ahead >= gap))
 
 
 def dense_nearest_hit(scene, origins, dirs, drone_centers=None, drone_half=0.0):

@@ -3,7 +3,8 @@ import pytest
 
 import tracemalloc
 
-from dronepose.depth_image import _PROJECT_BLOCK, ProjectionParams, project, to_ascii_pgm, unproject
+from dronepose.depth_image import _PROJECT_BLOCK, ProjectionParams, project, unproject
+from conftest import ROOT
 
 
 @pytest.fixture
@@ -195,26 +196,13 @@ class TestTiltedView:
 
 
 class TestAsciiDump:
-    def test_structure_and_values(self):
-        p = ProjectionParams(resolution=64, half_fov=np.deg2rad(45.0))
-        img = project([(0.0, 0.0, 2.5), (1.0, 1.0, 5.0)], p)
-        text = to_ascii_pgm(img)
-        lines = text.splitlines()
-        assert lines[0] == "P2"
-        assert lines[1] == "64 64"
-        assert lines[2] == "5000"
-        grid = np.array([[int(c) for c in row.split()] for row in lines[3:]])
-        assert grid.shape == (64, 64)
-        assert grid[32, 32] == 2500
-        assert grid.sum() == 2500 + 5000
-
-    def test_golden_file(self, tmp_path):
+    def test_golden_file(self):
+        # the P2 grid in tests/data holds a projection's depths in integer mm
         p = ProjectionParams(resolution=64, half_fov=np.deg2rad(45.0))
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(-4, 4, 20), rng.uniform(-4, 4, 20),
                                rng.uniform(2, 30, 20)])
-        text = to_ascii_pgm(project(pts, p))
-        import pathlib
-
-        golden = pathlib.Path(__file__).parent / "data" / "depth_64.pgm"
-        assert text == golden.read_text()
+        magic, size, top, *rows = (ROOT / "tests" / "data" / "depth_64.pgm").read_text().splitlines()
+        grid = np.array([[int(x) for x in row.split()] for row in rows])
+        assert (magic, size) == ("P2", "64 64") and int(top) == grid.max()
+        assert np.array_equal(grid, np.rint(project(pts, p).data * 1000.0))

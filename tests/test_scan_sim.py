@@ -17,7 +17,6 @@ from dronepose.scan_sim import (
     simulate_full_scan,
     simulate_vibration_frame,
     _BLOCK_FIRINGS,
-    _may_hit,
     _pad,
     _ray_box,
     _ray_rect_z,
@@ -27,6 +26,7 @@ from conftest import ROOT, SWEEP_OMEGA, static_trajectory
 from oracles import (
     dense_nearest_hit,
     reference_cast,
+    reference_may_hit,
     reference_ray_box,
     reference_ray_spheres,
     reference_rotations_at,
@@ -231,7 +231,8 @@ class TestBroadPhase:
         origins = rng.uniform(-2.0, 2.0, (200, 3))
         aim = blob.center + unit(rng.normal(size=(200, 3))) * rng.uniform(0.0, 1.4, (200, 1))
         dirs = unit(aim - origins)
-        assert np.all(_may_hit(origins, dirs, scene.bound_centers[0], scene.bound_radii[0]))
+        assert np.all(reference_may_hit(origins, dirs, scene.bound_centers[0],
+                                        scene.bound_radii[0]))
         pairs = []
         real = scan_sim._ray_spheres
 
@@ -244,6 +245,77 @@ class TestBroadPhase:
         assert sum(pairs) < len(scene.sphere_centers) * len(origins)
         assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs))
         assert np.count_nonzero(np.isfinite(got)) > 10
+
+    def test_slab_test_sees_every_ray_of_the_fans_kept(self, monkeypatch):
+        # two boxes and the drone: each slab test gets exactly the rays of the
+        # fans its row keeps, also those that miss the bound, with 16-beam fans
+        # and with bare rays (fans of one)
+        rng = np.random.default_rng(20872)
+        scene = Scene([ScenePrimitive("box", (6.0, 2.0, 1.0), (2.0, 1.0, 3.0)),
+                       ScenePrimitive("box", (-4.0, 7.0, 2.0), (1.5, 1.5, 1.5)),
+                       ScenePrimitive("ground_plane", (0.0, 0.0, -1.0), (50.0, 50.0, 1.0))])
+        half, drone_r = 0.25, _pad(np.sqrt(3.0) * 0.25)
+        origins, dirs = edge_case_rays(rng, scene)
+        drone = origins + 6.0 * dirs + rng.normal(0.0, 2.0 * half, origins.shape)
+        # rays passing 5e-7 m outside the padded bounds of the boxes and of the
+        # first 40 drone boxes: inside the fan test's slack
+        o_box, d_box = grazing_rays(rng, scene.bound_centers, scene.bound_radii + 5e-7)
+        o_drone, d_drone = grazing_rays(rng, drone[:40], np.full(40, drone_r + 5e-7))
+        origins = np.concatenate([origins, o_box, o_drone])
+        dirs = np.concatenate([dirs, d_box, d_drone])
+        drone = np.concatenate([drone, drone[:len(o_box)], drone[:40]])
+        calls = []
+        real = scan_sim._ray_box
+
+        def ray_box(o, d, lo, hi):
+            calls.append((o, d, lo, hi))
+            return real(o, d, lo, hi)
+
+        monkeypatch.setattr(scan_sim, "_ray_box", ray_box)
+        beams = np.deg2rad(np.linspace(-15.0, 15.0, 16))
+        u, v, fan_o, fan_d = planar_fans(rng, origins, dirs, beams)
+        for fans, rays_o, rays_d in (
+                (scene.fan_candidates(origins, u, v, beams, drone, half), fan_o, fan_d),
+                (scene.fan_candidates(origins, dirs, np.zeros_like(dirs), np.zeros(1),
+                                      drone, half), origins, dirs)):
+            per_fan = len(rays_o) // len(origins)
+            calls.clear()
+            got = scene.nearest_hit(rays_o, rays_d, drone, half, fans if per_fan > 1 else None)
+            ray_drone = np.repeat(drone, per_fan, axis=0)
+            assert np.array_equal(got, dense_nearest_hit(scene, rays_o, rays_d, ray_drone, half))
+            rows = [fans.rows[g] for g, _, _ in scene.boxes] + [fans.rows[-1]]
+            assert len(calls) == len(rows) == 3
+            for k, ((o, d, lo, hi), row) in enumerate(zip(calls, rows)):
+                assert 0 < np.count_nonzero(row) < len(row)
+                ray = (np.flatnonzero(row)[:, None] * per_fan + np.arange(per_fan)).ravel()
+                assert np.array_equal(o, rays_o[ray]) and np.array_equal(d, rays_d[ray])
+                if k < len(scene.boxes):
+                    c, r = scene.bound_centers[k], scene.bound_radii[k]
+                    assert np.array_equal(lo, scene.boxes[k][1])
+                    assert np.array_equal(hi, scene.boxes[k][2])
+                else:
+                    c, r = ray_drone[ray], drone_r
+                    assert np.array_equal(lo, c - half) and np.array_equal(hi, c + half)
+                # the rays kept include rays that the per-ray bound test drops
+                assert not np.all(reference_may_hit(o, d, c, r))
+
+    def test_bare_rays_make_one_fan_candidates_call(self, monkeypatch):
+        rng = np.random.default_rng(20873)
+        scene = random_scene(rng)
+        origins, dirs = edge_case_rays(rng, scene)
+        drone = origins + 6.0 * dirs + rng.normal(0.0, 0.5, origins.shape)
+        calls = []
+        real = Scene.fan_candidates
+
+        def fan_candidates(scene, *args, **kwargs):
+            calls.append(args)
+            return real(scene, *args, **kwargs)
+
+        monkeypatch.setattr(Scene, "fan_candidates", fan_candidates)
+        got = scene.nearest_hit(origins, dirs, drone, 0.25)
+        assert len(calls) == 1
+        assert np.array_equal(got, dense_nearest_hit(scene, origins, dirs, drone, 0.25))
+        assert np.count_nonzero(got < dense_nearest_hit(scene, origins, dirs)) > 100
 
     @pytest.mark.parametrize("field, value", [("origin", np.nan), ("dir", np.inf),
                                               ("dir", -np.inf), ("drone", np.nan)])
@@ -358,10 +430,10 @@ class TestFanCull:
                 shift, spread, 20865):
             fans = scene.fan_candidates(fan_o, u, v, beams, fan_drone, half)
             drone = np.repeat(fan_drone, len(beams), axis=0)
-            rays = [_may_hit(origins, dirs, c, r)
+            rays = [reference_may_hit(origins, dirs, c, r)
                     for c, r in zip(scene.bound_centers, scene.bound_radii)]
             rays += [np.isfinite(_ray_rect_z(origins, dirs, *rect)) for rect in scene.rects]
-            rays.append(_may_hit(origins, dirs, drone, _pad(np.sqrt(3.0) * half)))
+            rays.append(reference_may_hit(origins, dirs, drone, _pad(np.sqrt(3.0) * half)))
             for row, ray_kept in zip(fans.rows, rays):
                 assert not np.any(ray_kept.reshape(-1, len(beams)).any(axis=1) & ~row)
             # each fan in a plane cutting a bound by 1e-9 r holds a ray that meets it
@@ -382,7 +454,7 @@ class TestFanCull:
             first_cut = len(fan_o) - 2 * len(scene.bound_centers) - 4 * len(kept)
             for s, (c, r) in enumerate(zip(scene.sphere_centers, scene.sphere_radii)):
                 hit = np.isfinite(reference_ray_spheres(origins, dirs, c[None], r[None]))
-                near = _may_hit(origins, dirs, c, _pad(r))
+                near = reference_may_hit(origins, dirs, c, _pad(r))
                 for rays in (hit.reshape(-1, len(beams)), near.reshape(-1, len(beams))):
                     assert not np.any(rays.any(axis=1) & ~kept[s])
                 assert hit.reshape(-1, len(beams))[first_cut + s].any()
