@@ -24,10 +24,6 @@ _FIRST_BATCH = 4        # candidates exactly scored in the first batch; most swe
 _BATCH_CELLS = 1 << 14  # window cells per scoring call: its temporaries stay under 0.4 MB
 
 
-class NoCandidatesError(ValueError):
-    """Raised when the depth image contains no non-zero pixel."""
-
-
 @dataclass
 class KernelParams:
     drone_width: float = 0.5       # m, assumed physical target width
@@ -146,8 +142,8 @@ def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.n
     return bound * (1.0 - 1e-9)
 
 
-def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> Detection:
-    """Return the global dissimilarity argmin over every non-zero pixel.
+def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> Detection | None:
+    """Return the global dissimilarity argmin over every non-zero pixel, None if there is none.
 
     Ties break toward the smaller inner term, then row-major pixel order.
     Candidates are scored exactly, in batches, in ascending order of a lower
@@ -157,7 +153,7 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
     data = image.data
     vs, us = np.nonzero(data != 0.0)     # on bools: cheaper than on the floats
     if len(vs) == 0:
-        raise NoCandidatesError("no candidates: depth image is empty")
+        return None
     depths = data[vs, us]
     sizes = _inner_sizes(depths, params, proj)
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import time as _time
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import NoCandidatesError
 from .geom import Pose, orthonormalize
 from .report import RunRecord
 from .scan_sim import (
@@ -93,9 +91,8 @@ class _SimSource:
         v_drone = observe_vds(drone_pose, sc.obs, self.rng)
         ego = None
         if want_ego and len(self.drone_poses) > sc.motion_frame_gap:
-            with contextlib.suppress(ValueError):   # no motion over the gap
-                ego = observe_ego_direction(self.drone_poses[0], drone_pose,
-                                            sigma=sc.obs.ego_noise, rng=self.rng)
+            ego = observe_ego_direction(self.drone_poses[0], drone_pose,
+                                        sigma=sc.obs.ego_noise, rng=self.rng)
         return _VibrationInputs(
             scan, t_mid, vehicle, v_vehicle, v_drone, ego,
             truth_position=start.rotation.T @ (drone_pose.translation - start.translation),
@@ -120,11 +117,8 @@ class _Estimator:
         self.corrected = False
 
     def acquire(self, scan) -> bool:
-        """Lock on a full sweep; False when the detector finds no candidate."""
-        try:
-            self.track = acquire(scan, self.sc.projection, self.sc.kernel, self.sc.meanshift)
-        except NoCandidatesError:
-            self.track = None
+        """Lock on a full sweep; False when there is nothing to lock on."""
+        self.track = acquire(scan, self.sc.projection, self.sc.kernel, self.sc.meanshift)
         return self.track is not None
 
     def step(self, inputs: _VibrationInputs) -> None:

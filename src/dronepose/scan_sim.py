@@ -642,16 +642,17 @@ def observe_vds(camera_pose: Pose, model: IndirectObsModel, rng=None) -> np.ndar
 
 
 def observe_ego_direction(pose_i: Pose, pose_j: Pose, sigma: float = 0.0,
-                          rng=None) -> np.ndarray:
+                          rng=None) -> np.ndarray | None:
     """Drone-frame unit direction of travel between two of its poses.
 
     Matches what a scale-free visual-odometry solver yields: direction
-    only, expressed in the frame-i camera coordinates.
+    only, expressed in the frame-i camera coordinates. None when the drone
+    has not moved, before any draw from ``rng``.
     """
     delta = pose_j.translation - pose_i.translation
     n = np.linalg.norm(delta)
     if n < 1e-12:
-        raise ValueError("no motion between frames")
+        return None
     direction = pose_i.rotation.T @ (delta / n)
     if sigma > 0.0:
         rng = np.random.default_rng(rng)

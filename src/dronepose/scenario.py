@@ -84,7 +84,7 @@ _SCHEMA = {
     "rotation.max_rate_deg": ("float", "20.0", ">= 0"),
     "motion.window": ("int", "7", ">= 1"),
     "motion.frame_gap": ("int", "14", ">= 1"),
-    "motion.cone_deg": ("float", "30.0", None),
+    "motion.cone_deg": ("float", "30.0", "> 0"),
     "motion.min_distance": ("float", "1.0", "> 0"),
 }
 

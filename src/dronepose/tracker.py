@@ -18,10 +18,6 @@ from .detector import KernelParams, detect
 _SUPPORT_BLOCK = 16384     # points per block when selecting the mean-shift support
 
 
-class TargetLostError(RuntimeError):
-    """No scan points fell inside the refinement neighborhood."""
-
-
 @dataclass
 class MeanShiftParams:
     radius: float = 1.0          # m, spherical support neighborhood
@@ -73,13 +69,16 @@ def _support(pts, center, radius):
 
 
 def mean_shift_refine(points, start, params: MeanShiftParams,
-                      iterations: int | None = None) -> np.ndarray:
-    """Iterated Gaussian-weighted mean over the fixed support neighborhood."""
+                      iterations: int | None = None) -> np.ndarray | None:
+    """Iterated Gaussian-weighted mean over the fixed support neighborhood.
+
+    None when no point lies within ``radius`` of ``start``: nothing to refine on.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     estimate = np.asarray(start, dtype=float).copy()
     support = _support(pts, estimate, params.radius)
     if len(support) == 0:
-        raise TargetLostError("target lost: empty refinement neighborhood")
+        return None
     n_iter = params.iterations if iterations is None else iterations
     for _ in range(n_iter):
         sq = np.sum((support - estimate) ** 2, axis=1)
@@ -97,10 +96,9 @@ def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
     ``miss_limit`` consecutive misses the state flips to lost (loss is
     a state, not an error).
     """
-    try:
-        refined = mean_shift_refine(frame.points, state.position, params,
-                                    iterations=params.track_iterations)
-    except TargetLostError:
+    refined = mean_shift_refine(frame.points, state.position, params,
+                                iterations=params.track_iterations)
+    if refined is None:
         misses = state.misses + 1
         status = "lost" if misses >= params.miss_limit else state.status
         return replace(state, misses=misses, status=status)
@@ -108,12 +106,14 @@ def track_step(state: TrackState, frame, params: MeanShiftParams) -> TrackState:
 
 
 def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
-            params: MeanShiftParams) -> TrackState:
+            params: MeanShiftParams) -> TrackState | None:
     """Full-sweep acquisition: project, detect, refine, lock.
 
-    Also the re-acquisition path after a loss. Propagates the
-    detector's NoCandidatesError when the sky is empty.
+    Also the re-acquisition path after a loss. None when there is nothing to
+    lock on: the image is empty, or no return lies within ``radius`` of the detection.
     """
-    image = project(frame.points, proj)
-    detection = detect(image, kernel, proj)
-    return TrackState(position=mean_shift_refine(frame.points, detection.position, params))
+    detection = detect(project(frame.points, proj), kernel, proj)
+    if detection is None:
+        return None
+    position = mean_shift_refine(frame.points, detection.position, params)
+    return None if position is None else TrackState(position=position)

@@ -97,6 +97,20 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("override", [
+        "meanshift.radius=0.01",        # no return within 1 cm of the detected pixel's centre
+        "projection.fov_deg=179.9",     # a pixel spans degrees: its centre lies metres from returns
+    ])
+    def test_nothing_to_lock_on_exits_zero(self, override, tmp_path, capsys):
+        # used to end in a traceback from the acquisition's refinement
+        out = tmp_path / "none"
+        code = main(["run", "--scenario", str(EXP1), "--out", str(out),
+                     "--overrides", "duration=4", override])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
+        assert "acquisition_time = absent" in captured.out
+
 
 class TestMetricsCommand:
     def test_metrics_matches_run_output(self, scenario_file, tmp_path, capsys):

@@ -1064,7 +1064,9 @@ class TestObserveEgoDirection:
         # +X world seen from a frame yawed +90 deg appears along -Y
         assert np.allclose(observe_ego_direction(a, b), (0, -1, 0), atol=1e-12)
 
-    def test_zero_displacement_raises(self):
-        a = Pose(np.eye(3), (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="no motion"):
-            observe_ego_direction(a, a)
+    def test_zero_displacement_returns_none(self):
+        # hovering: no direction, and no draw from the stream
+        a, rng = Pose(np.eye(3), (1.0, 2.0, 3.0)), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert observe_ego_direction(a, a, sigma=0.1, rng=rng) is None
+        assert rng.bit_generator.state == before

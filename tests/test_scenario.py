@@ -107,7 +107,8 @@ def test_rule_bound(key, value, accepted):
 
 def test_rules_cover_the_motor_and_motion_keys():
     assert {"motor.sweep_rpm", "motor.vibration_amplitude_deg", "motor.vibration_period",
-            "motion.window", "motion.frame_gap", "motion.min_distance"} <= set(RULED)
+            "motion.window", "motion.frame_gap", "motion.cone_deg",
+            "motion.min_distance"} <= set(RULED)
 
 
 @pytest.mark.parametrize("key, at, past", [
@@ -187,6 +188,10 @@ def value_mutations(key: str, kind: str, rule, rng) -> list:
         texts += [repr(30.0 / FIRING_S), repr(30.0 / FIRING_S * (1 + 1e-9)), "1e300"]
     if key == "lidar.points_per_second":    # at the cap in mutation_pool, with a short run
         texts += [repr(CAP_RATE * (1 + 1e-9)), "1e12"]
+    if key == "meanshift.radius":           # no return near the detection: nothing to lock on
+        texts.append("1e-3")
+    if key == "projection.fov_deg":         # pixels degrees wide: the same
+        texts.append("179.9")
     return texts
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dronepose import pipeline
 from dronepose.depth_image import ProjectionParams
-from dronepose.detector import KernelParams, NoCandidatesError
+from dronepose.detector import KernelParams
 from dronepose.geom import Pose
 from dronepose.scan_sim import (
     DroneModel,
@@ -17,7 +17,6 @@ from dronepose.scenario import parse_scenario
 from dronepose.tracker import (
     _SUPPORT_BLOCK,
     MeanShiftParams,
-    TargetLostError,
     TrackState,
     _support,
     acquire,
@@ -60,8 +59,7 @@ class TestMeanShiftRefine:
         assert np.array_equal(out, near)
 
     def test_empty_neighborhood_raises(self, params):
-        with pytest.raises(TargetLostError):
-            mean_shift_refine([(10.0, 10.0, 10.0)], (0.0, 0.0, 0.0), params)
+        assert mean_shift_refine([(10.0, 10.0, 10.0)], (0.0, 0.0, 0.0), params) is None
 
     def test_matches_oracle_exactly(self, params, rng):
         for _ in range(20):
@@ -265,18 +263,23 @@ class TestAcquire:
         traj = Trajectories(drone=static_trajectory((0, 0, 20)),
                             vehicle=static_trajectory((0, 0, 1.5)))
         frame = simulate_full_scan(scene, traj, LidarModel(), SWEEP_OMEGA, 0.0, drone=None)
-        with pytest.raises(NoCandidatesError):
-            acquire(frame, ProjectionParams(), KernelParams(), MeanShiftParams())
+        assert acquire(frame, ProjectionParams(), KernelParams(), MeanShiftParams()) is None
 
     def test_fov_cull_gates_acquisition(self):
         proj = ProjectionParams()  # half fov 60 deg about +Z
         # at 65 deg off zenith the drone never enters the image
         off = np.tan(np.deg2rad(65.0)) * 10.0
         frame = self._world((off, 0.0, 1.5 + 10.0), drone_width=0.5)
-        with pytest.raises(NoCandidatesError):
-            acquire(frame, proj, KernelParams(), MeanShiftParams())
+        assert acquire(frame, proj, KernelParams(), MeanShiftParams()) is None
         # at 50 deg it is acquired
         off = np.tan(np.deg2rad(50.0)) * 10.0
         frame = self._world((off, 0.0, 1.5 + 10.0), drone_width=0.5)
         state = acquire(frame, proj, KernelParams(), MeanShiftParams())
         assert state.status == "locked"
+
+    def test_no_return_near_the_detection_is_no_lock(self):
+        # the detection is the winning pixel's centre, more than 1 mm from every return
+        frame = self._world((2.0, 1.5, 11.0))
+        proj, kernel = ProjectionParams(), KernelParams(drone_width=0.15)
+        assert acquire(frame, proj, kernel, MeanShiftParams(radius=1e-3)) is None
+        assert acquire(frame, proj, kernel, MeanShiftParams()).status == "locked"
