@@ -16,6 +16,7 @@ import numpy as np
 XY_DEGENERACY_NORM = 1e-6
 
 _ROT_TOL = 1e-9
+_EYE3, _FLIP_LAST = np.eye(3), np.diag([1.0, 1.0, -1.0])
 
 
 def _vec(v) -> np.ndarray:
@@ -29,11 +30,9 @@ def clamp_unit(x: float) -> float:
 
 def angle_between(a, b) -> float:
     """Angle in [0, pi] between two directions."""
-    a = _vec(a)
-    b = _vec(b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if not (1e-12 <= na < np.inf and 1e-12 <= nb < np.inf):     # False on NaN
+    a, b = _vec(a), _vec(b)
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))   # np.linalg.norm's own arithmetic
+    if not (1e-12 <= na < math.inf and 1e-12 <= nb < math.inf):     # False on NaN
         raise ValueError("degenerate direction: zero-length or non-finite input")
     return float(np.arccos(clamp_unit(float(np.dot(a, b) / (na * nb)))))
 
@@ -56,12 +55,12 @@ def rotation_about_z(theta: float) -> np.ndarray:
 def rotation_about_axis(axis, theta: float) -> np.ndarray:
     """Rodrigues rotation about an arbitrary (non-zero) axis."""
     axis = _vec(axis)
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        raise ValueError("degenerate direction: zero-length axis")
-    x, y, z = axis / n
+    n = math.sqrt(axis.dot(axis))       # np.linalg.norm of a vector, without its wrapper
+    if not (1e-12 <= n < math.inf and math.isfinite(theta)):     # False on NaN
+        raise ValueError("rotation axis must be non-zero and finite, and the angle finite")
+    x, y, z = (axis / n).tolist()
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return _EYE3 + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
 def rotation_aligning_xy(a, b) -> np.ndarray:
@@ -84,12 +83,15 @@ def euler_xyz(rotation) -> tuple[float, float, float]:
     Defined everywhere: the full atan2 triple, which rebuilds the rotation
     also next to gimbal lock (|ry| near pi/2), and only at the lock exactly
     (the first column on the z axis) rz = 0 with the coupled angle in rx.
+    A non-finite entry, which could read as the identity, raises ValueError.
     """
-    r = _vec(rotation)
-    cy = np.hypot(r[0, 0], r[1, 0])
-    rx, rz = ((np.arctan2(r[2, 1], r[2, 2]), np.arctan2(r[1, 0], r[0, 0])) if cy > 0.0
-              else (np.arctan2(-r[1, 2], r[1, 1]), 0.0))
-    return float(rx), float(np.arctan2(-r[2, 0], cy)), float(rz)
+    r = _vec(rotation).tolist()
+    if not all(map(math.isfinite, r[0] + r[1] + r[2])):
+        raise ValueError("rotation matrix has a non-finite entry")
+    cy = np.hypot(r[0][0], r[1][0])
+    rx, rz = ((np.arctan2(r[2][1], r[2][2]), np.arctan2(r[1][0], r[0][0])) if cy > 0.0
+              else (np.arctan2(-r[1][2], r[1][1]), 0.0))
+    return float(rx), float(np.arctan2(-r[2][0], cy)), float(rz)
 
 
 def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
@@ -129,10 +131,8 @@ def rotation_log(rotation) -> np.ndarray:
 def rotation_exp(rotvec) -> np.ndarray:
     """Rotation matrix of a rotation vector."""
     rv = _vec(rotvec)
-    theta = float(np.linalg.norm(rv))
-    if theta < 1e-12:
-        return np.eye(3)
-    return rotation_about_axis(rv, theta)
+    theta = math.sqrt(rv.dot(rv))
+    return np.eye(3) if theta < 1e-12 else rotation_about_axis(rv, theta)
 
 
 def rotation_angle(rotation) -> float:
@@ -149,13 +149,10 @@ def geodesic_step(start, target, max_step: float) -> np.ndarray:
     """Move from ``start`` toward ``target`` along the geodesic, at most ``max_step`` rad."""
     start = _vec(start)
     rv = rotation_log(start.T @ _vec(target))
-    theta = float(np.linalg.norm(rv))
+    theta = math.sqrt(rv.dot(rv))
     if theta <= max_step:
         return _vec(target).copy()
     return start @ rotation_exp(rv * (max_step / theta))
-
-
-_KEEP_LAST, _FLIP_LAST = np.diag([1.0, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])
 
 
 def orthonormalize(rotation) -> np.ndarray:
@@ -172,17 +169,19 @@ def orthonormalize(rotation) -> np.ndarray:
     # ulps and the cofactor sum has the sign np.linalg.det would give.
     (a, b, c), (d, e, f), (g, h, i) = (u @ vt).tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return u @ (_KEEP_LAST if det > 0.0 else _FLIP_LAST) @ vt
+    return u @ (_EYE3 if det > 0.0 else _FLIP_LAST) @ vt
 
 
 def is_rotation(rotation, tol: float = _ROT_TOL) -> bool:
+    """Entries of R R^T - I and det R - 1 within ``tol``, on R's nine floats."""
     r = _vec(rotation)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+    if r.shape != (3, 3) or not all(map(math.isfinite, m := r.ravel().tolist())):
         return False
-    return (
-        np.max(np.abs(r @ r.T - np.eye(3))) <= tol
-        and abs(np.linalg.det(r) - 1.0) <= tol
-    )
+    a, b, c, d, e, f, g, h, i = m
+    return all(abs(x) <= tol for x in (
+        a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0, g * g + h * h + i * i - 1.0,
+        a * d + b * e + c * f, a * g + b * h + c * i, d * g + e * h + f * i,
+        a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0))
 
 
 @dataclass
@@ -197,5 +196,5 @@ class Pose:
         self.translation = _vec(self.translation)
         if not is_rotation(self.rotation, tol=1e-6):
             raise ValueError("pose rotation is not a proper rotation matrix")
-        if self.translation.shape != (3,) or not np.all(np.isfinite(self.translation)):
+        if self.translation.shape != (3,) or not all(map(math.isfinite, self.translation.tolist())):
             raise ValueError("pose translation must be a finite 3-vector")

@@ -19,6 +19,7 @@ plus angular noise; detecting them from imagery is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -150,7 +151,8 @@ class TrajectorySpec:
         return np.array([np.interp(ts, self.times, self.positions[:, i]) for i in range(3)]).T
 
     def position_at(self, t: float) -> np.ndarray:
-        return self.positions_at([t])[0]
+        """``positions_at([t])[0]``: the same np.interp loop, on one float."""
+        return np.array([np.interp(t, self.times, self.positions[:, i]) for i in range(3)])
 
     def rotation_rows(self, ts):
         """R[i][j] at times ``ts`` (clamped) as a (3, 3, n) array of per-entry rows,
@@ -180,7 +182,10 @@ class TrajectorySpec:
         return (r0[:, 0] * b[0] + r0[:, 1] * b[1]) + r0[:, 2] * b[2]
 
     def rotation_at(self, t: float) -> np.ndarray:
-        return np.reshape(self.rotation_rows([t]), (3, 3))
+        """``rotation_rows([t])`` as a 3x3 array; on a constant segment, a waypoint's copy."""
+        s = min(max(self.times.searchsorted(t, "right") - 1, 0), len(self.times) - 2)
+        return (self.rotations[s].copy() if self._segments[s] is None
+                else self._segment_rows(s, np.array([t])).reshape(3, 3))
 
     def pose_at(self, t: float) -> Pose:
         return Pose(self.rotation_at(t), self.position_at(t))
@@ -605,13 +610,14 @@ def simulate_vibration_frame(scene, trajectories, lidar, center, amplitude, peri
 
 
 def _perturb_direction(direction, sigma, rng):
-    """Tilt a unit vector by |N(0, sigma)| about a random orthogonal axis."""
+    """Tilt a unit vector by |N(0, sigma)| about a random orthogonal axis; no draw at sigma <= 0."""
     if sigma <= 0.0:
         return direction.copy()
+    rng = np.random.default_rng(rng)
     while True:
         raw = rng.normal(size=3)
-        ortho = raw - np.dot(raw, direction) * direction
-        n = np.linalg.norm(ortho)
+        ortho = raw - raw.dot(direction) * direction
+        n = math.sqrt(ortho.dot(ortho))     # np.linalg.norm of a vector, without its wrapper
         if n > 1e-9:
             break
     angle = abs(rng.normal(0.0, sigma))
@@ -626,14 +632,13 @@ def observe_vds(camera_pose: Pose, model: IndirectObsModel, rng=None) -> np.ndar
     angular noise; with ``scramble`` on, column order and signs are
     randomized the way an unlabeled detector would return them.
     """
-    need_rng = model.vd_noise > 0.0 or model.scramble
-    if need_rng:
+    if model.vd_noise > 0.0 or model.scramble:
         rng = np.random.default_rng(rng)
     cols = camera_pose.rotation.T.copy()
     if model.vd_noise > 0.0:
         for i in range(3):
-            cols[:, i] = _perturb_direction(cols[:, i], model.vd_noise, rng)
-            cols[:, i] /= np.linalg.norm(cols[:, i])
+            col = _perturb_direction(cols[:, i], model.vd_noise, rng)
+            cols[:, i] = col / math.sqrt(col.dot(col))     # contiguous, as np.linalg.norm reads it
     if model.scramble:
         perm = rng.permutation(3)
         signs = rng.choice((-1.0, 1.0), size=3)
@@ -650,11 +655,7 @@ def observe_ego_direction(pose_i: Pose, pose_j: Pose, sigma: float = 0.0,
     has not moved, before any draw from ``rng``.
     """
     delta = pose_j.translation - pose_i.translation
-    n = np.linalg.norm(delta)
+    n = math.sqrt(delta.dot(delta))
     if n < 1e-12:
         return None
-    direction = pose_i.rotation.T @ (delta / n)
-    if sigma > 0.0:
-        rng = np.random.default_rng(rng)
-        direction = _perturb_direction(direction, sigma, rng)
-    return direction
+    return _perturb_direction(pose_i.rotation.T @ (delta / n), sigma, rng)

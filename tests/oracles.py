@@ -11,6 +11,14 @@ rotation stages as they were before their per-call numpy work was cut
 two norms per angle, ``np.linalg.det``); the library must match them bit
 for bit.
 
+``reference_observe_vds`` and ``reference_observe_ego_direction`` are the
+simulated VD and ego-motion observations as they were before their numpy
+wrappers were cut (``np.linalg.norm`` per vector, a fresh ``np.eye(3)`` in
+Rodrigues' formula, the normalized column read back strided), and
+``reference_is_rotation`` the rotation check in its matmul and
+``np.linalg.det`` form: the library must give the same bits, the same RNG
+stream and the same verdicts.
+
 The cast oracle is the simulator's ray-casting loop as it was before its
 per-block work was cut: one ``rotation_log`` per trajectory segment and
 block, one einsum over all three direction axes, and every ray of every
@@ -221,6 +229,67 @@ def reference_filter_rotation(rotation, max_rate, last_time, measured, t):
     stepped = (measured.copy() if theta <= max_step
                else rotation @ rotation_exp(rv * (max_step / theta)))
     return reference_orthonormalize(stepped)
+
+
+def reference_is_rotation(rotation, tol=1e-9):
+    r = np.asarray(rotation, dtype=float)
+    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+        return False
+    return (
+        np.max(np.abs(r @ r.T - np.eye(3))) <= tol
+        and abs(np.linalg.det(r) - 1.0) <= tol
+    )
+
+
+def reference_rotation_about_axis(axis, theta):
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n < 1e-12:
+        raise ValueError("degenerate direction: zero-length axis")
+    x, y, z = axis / n
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def reference_perturb_direction(direction, sigma, rng):
+    if sigma <= 0.0:
+        return direction.copy()
+    while True:
+        raw = rng.normal(size=3)
+        ortho = raw - np.dot(raw, direction) * direction
+        n = np.linalg.norm(ortho)
+        if n > 1e-9:
+            break
+    angle = abs(rng.normal(0.0, sigma))
+    return reference_rotation_about_axis(ortho / n, angle) @ direction
+
+
+def reference_observe_vds(camera_pose, model, rng=None):
+    need_rng = model.vd_noise > 0.0 or model.scramble
+    if need_rng:
+        rng = np.random.default_rng(rng)
+    cols = camera_pose.rotation.T.copy()
+    if model.vd_noise > 0.0:
+        for i in range(3):
+            cols[:, i] = reference_perturb_direction(cols[:, i], model.vd_noise, rng)
+            cols[:, i] /= np.linalg.norm(cols[:, i])
+    if model.scramble:
+        perm = rng.permutation(3)
+        signs = rng.choice((-1.0, 1.0), size=3)
+        cols = cols[:, perm] * signs[None, :]
+    return cols
+
+
+def reference_observe_ego_direction(pose_i, pose_j, sigma=0.0, rng=None):
+    delta = pose_j.translation - pose_i.translation
+    n = np.linalg.norm(delta)
+    if n < 1e-12:
+        return None
+    direction = pose_i.rotation.T @ (delta / n)
+    if sigma > 0.0:
+        rng = np.random.default_rng(rng)
+        direction = reference_perturb_direction(direction, sigma, rng)
+    return direction
 
 
 def reference_rotations_at(traj, ts):

@@ -20,6 +20,7 @@ from dronepose.geom import (
     rotation_log,
     rotation_aligning_xy,
 )
+from oracles import reference_is_rotation, reference_rotation_about_axis
 
 
 def random_rotation(rng):
@@ -146,6 +147,46 @@ class TestEuler:
             assert np.max(np.abs(euler_to_rotation(rx, ry, rz) - r)) <= 1e-12
             assert (rz == 0.0) == (off_lock == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2), (0, 2)])
+    def test_non_finite_entry_raises(self, bad, entry):
+        # a NaN at (1, 2) used to give (0, -0, 0): a broken rotation read as the identity
+        r = np.eye(3)
+        r[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            euler_xyz(r)
+
+
+class TestRodrigues:
+    """``rotation_about_axis`` gives ``reference_rotation_about_axis``'s bits, and it
+    and ``rotation_exp`` raise on a non-finite axis or angle."""
+
+    def test_matches_reference(self, rng):
+        axes = [*rng.normal(size=(300, 3)), *np.eye(3), *-np.eye(3), (1e-6, 0.0, 0.0),
+                (3.0, 4.0, 12.0), (1e150, -1e150, 1e150)]
+        for axis in axes:
+            for theta in (rng.uniform(-4.0, 4.0), 0.0, np.pi, 1e-9):
+                got = rotation_about_axis(axis, theta)
+                assert np.array_equal(got, reference_rotation_about_axis(axis, theta))
+        for rv in rng.normal(scale=2.0, size=(300, 3)):
+            theta = float(np.linalg.norm(rv))
+            assert np.array_equal(rotation_exp(rv), reference_rotation_about_axis(rv, theta))
+
+    def test_zero_axis_raises(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            rotation_about_axis((0.0, 0.0, 0.0), 0.3)
+        assert np.array_equal(rotation_exp((0.0, 0.0, 0.0)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_raises(self, bad):
+        # inf used to give a numpy RuntimeWarning (an error under this suite's settings)
+        for axis, theta in (((bad, 0.0, 1.0), 0.3), ((0.0, 1.0, 0.0), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                rotation_about_axis(axis, theta)
+        for rv in ((bad, 0.0, 0.0), (0.1, bad, 0.2)):
+            with pytest.raises(ValueError, match="finite"):
+                rotation_exp(rv)
+
 
 class TestLogExp:
     def test_round_trip(self, rng):
@@ -212,6 +253,51 @@ class TestOrthonormalize:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def is_rotation_cases(rng):
+    """(name, matrix): rotations, reflections, rotations off by 1e-7 and 1e-5 per
+    entry, non-finite entries and wrong shapes."""
+    rots = [random_rotation(rng) for _ in range(100)] + [np.eye(3), rotation_about_z(np.pi)]
+    cases = [("rotation", r) for r in rots]
+    cases += [("reflection", r @ np.diag([1.0, 1.0, -1.0])) for r in rots[:30]]
+    cases += [("reflection", -r) for r in rots[:30]]
+    for scale in (1e-7, 1e-5):
+        cases += [(f"off {scale}", r + rng.normal(scale=scale, size=(3, 3))) for r in rots]
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in np.ndindex(3, 3):
+            r = rots[entry[0] * 3 + entry[1]].copy()
+            r[entry] = bad
+            cases.append(("non-finite", r))
+    shapes = [np.eye(2), np.eye(4), np.ones(3), np.ones(9), np.eye(3)[None], np.zeros((3, 0)),
+              np.ones((0, 3, 3)), np.eye(3)[:, :2], np.float64(1.0)]
+    return cases + [("shape", m) for m in shapes]
+
+
+class TestIsRotationMatchesReference:
+    """``is_rotation`` on nine floats gives ``reference_is_rotation``'s verdict (matmul
+    and ``np.linalg.det``) at both tolerances the library uses: the default and 1e-6."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_same_verdict(self, rng, tol):
+        verdicts = {}
+        for name, m in is_rotation_cases(rng):
+            got = is_rotation(m) if tol is None else is_rotation(m, tol=tol)
+            assert got == (reference_is_rotation(m) if tol is None
+                           else reference_is_rotation(m, tol=tol)), (name, m)
+            verdicts.setdefault(name, set()).add(got)
+        assert verdicts["rotation"] == {True}
+        for name in ("reflection", "non-finite", "shape", "off 1e-05"):
+            assert verdicts[name] == {False}
+        assert verdicts["off 1e-07"] == ({True} if tol == 1e-6 else {False})   # default 1e-9
+
+    def test_overflowing_entries_are_not_a_rotation(self):
+        # the products overflow to inf (and inf - inf to NaN) without a warning
+        for big in (1e200, -1e300):
+            r = np.eye(3)
+            r[0, 1] = big
+            assert not is_rotation(r)
+            assert not is_rotation(np.full((3, 3), big))
 
 
 class TestPose:

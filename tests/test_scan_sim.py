@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from oracles import (
     dense_nearest_hit,
     reference_cast,
     reference_may_hit,
+    reference_observe_ego_direction,
+    reference_observe_vds,
     reference_ray_box,
     reference_ray_spheres,
     reference_rotations_at,
@@ -998,6 +1002,57 @@ class TestBenchmarkHooks:
         assert 20 < hits < 200
 
 
+# Uneven knots, none a multiple of 0.5, so interpolation fractions are not round.
+POSE_KNOTS = np.array([-1.3, 0.7, 2.45, 4.1, 7.7])
+
+
+def pose_trajectory(kind):
+    rots = TRAJECTORY_ROTATIONS[kind]
+    positions = np.random.default_rng(5).normal(scale=20.0, size=(len(rots), 3))
+    return TrajectorySpec(POSE_KNOTS[:len(rots)], positions, rots)
+
+
+def pose_times(knots):
+    """Waypoint times exactly and one ulp on either side, times outside the waypoints
+    (clamped), and times inside every segment."""
+    inside = [a + f * (b - a) for a, b in zip(knots[:-1], knots[1:]) for f in (0.1, 0.5, 0.93)]
+    return [*knots, *np.nextafter(knots, -np.inf), *np.nextafter(knots, np.inf),
+            knots[0] - 2.0, knots[-1] + 3.0, -1e6, 1e6, *inside]
+
+
+class TestPoseAtMatchesArrayPath:
+    """``pose_at``, ``rotation_at`` and ``position_at`` take one time without the array
+    path, and give its bits: ``rotation_rows([t])`` and ``positions_at([t])[0]``."""
+
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_ROTATIONS))
+    def test_bit_identical(self, kind):
+        traj = pose_trajectory(kind)
+        for t in pose_times(traj.times):
+            t = float(t)
+            want_r = np.reshape(traj.rotation_rows([t]), (3, 3))
+            want_p = traj.positions_at([t])[0]
+            pose = traj.pose_at(t)
+            for got, want in ((traj.rotation_at(t), want_r), (pose.rotation, want_r),
+                              (traj.position_at(t), want_p), (pose.translation, want_p)):
+                assert got.shape == want.shape and got.dtype == float
+                assert np.array_equal(got, want), (kind, t)
+
+    def test_times_cover_both_segment_kinds(self):
+        # "mixed" holds constant and rotating segments; each gets times inside it
+        traj = pose_trajectory("mixed")
+        kinds = {traj._segments[s] is None for s in range(len(traj.times) - 1)}
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("kind", ["constant", "mixed"])
+    def test_constant_segment_gives_a_copy(self, kind):
+        traj = pose_trajectory(kind)        # the first segment is constant in both
+        want = traj.rotations[0].copy()
+        traj.rotation_at(0.0)[:] = 0.0
+        traj.pose_at(0.0).rotation[:] = 0.0
+        assert np.array_equal(traj.rotations[0], want)
+        assert np.array_equal(traj.rotation_at(0.0), want)
+
+
 class TestCastWork:
     """A cast interpolates rotations from terms cached per trajectory segment."""
 
@@ -1049,6 +1104,59 @@ class TestObserveVds:
         model = IndirectObsModel(vd_noise=np.deg2rad(3.0), scramble=True)
         v = observe_vds(Pose(rotation_about_z(0.5), np.zeros(3)), model, rng)
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-9)
+
+
+def axis_aligned_rotations():
+    """The 24 proper rotations whose entries are 0 and +-1."""
+    out = []
+    for perm, signs in product(permutations(range(3)), product((-1.0, 1.0), repeat=3)):
+        r = np.zeros((3, 3))
+        r[range(3), perm] = signs
+        if np.linalg.det(r) > 0.0:
+            out.append(r)
+    return out
+
+
+def seeded_poses(n=200, seed=2024):
+    rng = np.random.default_rng(seed)
+    rots = [euler_to_rotation(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(n)]
+    return [Pose(r, rng.normal(scale=30.0, size=3)) for r in rots + axis_aligned_rotations()]
+
+
+class TestObserveVdsMatchesReference:
+    """The VD and ego observations give ``reference_observe_vds``'s and
+    ``reference_observe_ego_direction``'s bits and leave the RNG where they do."""
+
+    @pytest.mark.parametrize("scramble", [True, False], ids=["scramble", "labelled"])
+    @pytest.mark.parametrize("noise_deg", [0.0, 1.0, 30.0])
+    def test_bit_identical(self, noise_deg, scramble):
+        model = IndirectObsModel(vd_noise=np.deg2rad(noise_deg), scramble=scramble)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        poses = seeded_poses()
+        assert len(poses) == 224
+        for pose in poses:
+            got = observe_vds(pose, model, rng)
+            assert np.array_equal(got, reference_observe_vds(pose, model, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise_deg", [1.0, 30.0])
+    def test_seed_argument(self, noise_deg):
+        model = IndirectObsModel(vd_noise=np.deg2rad(noise_deg), scramble=True)
+        pose = seeded_poses(n=1)[0]
+        for seed in range(20):
+            assert np.array_equal(observe_vds(pose, model, seed),
+                                  reference_observe_vds(pose, model, seed))
+
+    @pytest.mark.parametrize("noise_deg", [0.0, 1.0, 30.0])
+    def test_ego_direction_bit_identical(self, noise_deg):
+        sigma = np.deg2rad(noise_deg)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        poses = seeded_poses()
+        for pose_i, pose_j in zip(poses, poses[1:] + poses[:1]):
+            got = observe_ego_direction(pose_i, pose_j, sigma, rng)
+            want = reference_observe_ego_direction(pose_i, pose_j, sigma, ref_rng)
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestObserveEgoDirection:
