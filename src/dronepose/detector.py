@@ -101,6 +101,11 @@ def _neighbourhood_stack(grid: np.ndarray, reach: int, op, fill: float) -> np.nd
     return np.stack(out)
 
 
+def _candidates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(data != 0.0)``'s row-major (vs, us), from one cheaper flat scan."""
+    return np.divmod(np.flatnonzero(data != 0.0), data.shape[1])
+
+
 def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.ndarray,
                   sizes: np.ndarray, params: KernelParams) -> np.ndarray:
     """A lower bound on every candidate's ``e_inner + e_outer``, vectorized.
@@ -109,13 +114,15 @@ def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.n
     ``crop`` must be empty. Inner term: each empty cell costs exactly the
     center depth. Outer term: each non-empty band cell costs at least
     1/max(epsilon, spread), where the spread bounds |depth - center depth|
-    over the window, read from the depth range of the tiles around it.
-    Counts come from one integral image. The final (1 - 1e-9) factor covers
-    the rounding of the exact sums, whose terms are all >= 0.
+    over the window, read from the depth range of the tiles around it (a
+    max or min in any order, so taken one axis at a time). Counts come from
+    one integral image. The final (1 - 1e-9) factor covers the rounding of
+    the exact sums, whose terms are all >= 0.
     """
     h, w = crop.shape
     occupied = np.zeros((h + 1, w + 1), dtype=np.int32)
-    np.cumsum(np.cumsum(crop != 0.0, axis=0, dtype=np.int32), axis=1, out=occupied[1:, 1:])
+    filled = (crop != 0.0).astype(np.int32)     # rows first: the same integers, cheaper
+    np.cumsum(np.cumsum(filled, axis=1, out=filled), axis=0, out=occupied[1:, 1:])
 
     def count(half):
         r0, r1 = np.clip(vs - half, 0, h), np.clip(vs + half + 1, 0, h)
@@ -131,8 +138,8 @@ def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.n
     tiles = np.pad(crop, ((0, rows * _TILE - h), (0, cols * _TILE - w)))
     tiles = tiles.reshape(rows, _TILE, cols, _TILE)
     reach = -(-half_out // _TILE)    # tiles around the candidate's tile that hold its window
-    hi = _neighbourhood_stack(tiles.max(axis=(1, 3)), int(reach.max()), np.maximum, 0.0)
-    lo = _neighbourhood_stack(np.where(tiles == 0.0, np.inf, tiles).min(axis=(1, 3)),
+    hi = _neighbourhood_stack(tiles.max(axis=1).max(axis=2), int(reach.max()), np.maximum, 0.0)
+    lo = _neighbourhood_stack(tiles.min(axis=1, initial=np.inf, where=tiles != 0.0).min(axis=2),
                               int(reach.max()), np.minimum, np.inf)
     tv, tu = vs // _TILE, us // _TILE
     spread = np.maximum(hi[reach, tv, tu] - depths, depths - lo[reach, tv, tu])
@@ -151,7 +158,7 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
     the bounds pass the best exact score, since no later candidate can win.
     """
     data = image.data
-    vs, us = np.nonzero(data != 0.0)     # on bools: cheaper than on the floats
+    vs, us = _candidates(data)
     if len(vs) == 0:
         return None
     depths = data[vs, us]
@@ -196,9 +203,5 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
 
     e_total, _, i = best
     u, v, d_c = int(us[i]), int(vs[i]), float(depths[i])
-    return Detection(
-        pixel=(u, v),
-        depth=d_c,
-        dissimilarity=e_total,
-        position=unproject((u, v), d_c, proj),
-    )
+    return Detection(pixel=(u, v), depth=d_c, dissimilarity=e_total,
+                     position=unproject((u, v), d_c, proj))

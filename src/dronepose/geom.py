@@ -66,11 +66,12 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
 def rotation_aligning_xy(a, b) -> np.ndarray:
     """Z-axis rotation taking the XY-projection of ``a`` onto that of ``b``.
 
-    Raises ValueError when either projection is too short to define a
-    heading (near-vertical motion).
+    Raises ValueError on a non-finite entry, and when either projection is
+    too short to define a heading (near-vertical motion).
     """
-    a = _vec(a)
-    b = _vec(b)
+    a, b = _vec(a), _vec(b)
+    if not all(map(math.isfinite, a.tolist() + b.tolist())):
+        raise ValueError("motion vectors must be finite")
     if np.hypot(a[0], a[1]) <= XY_DEGENERACY_NORM or np.hypot(b[0], b[1]) <= XY_DEGENERACY_NORM:
         raise ValueError("vertical motion, yaw unobservable")
     theta = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])

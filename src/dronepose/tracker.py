@@ -8,6 +8,7 @@ part of the contract so independent re-computation matches exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,9 +74,12 @@ def mean_shift_refine(points, start, params: MeanShiftParams,
     """Iterated Gaussian-weighted mean over the fixed support neighborhood.
 
     None when no point lies within ``radius`` of ``start``: nothing to refine on.
+    A non-finite ``start`` raises ValueError; the points are not checked.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     estimate = np.asarray(start, dtype=float).copy()
+    if estimate.shape != (3,) or not all(map(math.isfinite, estimate.tolist())):
+        raise ValueError("start must be a finite 3-vector")
     support = _support(pts, estimate, params.radius)
     if len(support) == 0:
         return None

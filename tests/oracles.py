@@ -19,6 +19,13 @@ Rodrigues' formula, the normalized column read back strided), and
 ``np.linalg.det`` form: the library must give the same bits, the same RNG
 stream and the same verdicts.
 
+``reference_lower_bounds`` is the detector's lower bound as it was before
+its passes over the whole crop were reordered: the integral image summed
+along columns first, the tile maxima over both axes at once and the tile
+minima over an ``np.where`` copy with empty cells set to inf. Only the
+neighbourhood stack and the tile size are shared with the library. The
+bounds must keep their bits.
+
 The cast oracle is the simulator's ray-casting loop as it was before its
 per-block work was cut: one ``rotation_log`` per trajectory segment and
 block, one einsum over all three direction axes, and every ray of every
@@ -35,6 +42,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from dronepose.detector import _TILE, _neighbourhood_stack
 from dronepose.geom import Pose, rotation_exp, rotation_log
 from dronepose.scan_sim import _BLOCK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
@@ -81,6 +89,37 @@ def oracle_scores(data, v, u, params, focal):
                                     1.0 / params.depth_epsilon, 1.0 / diffs))
     e_outer = float(np.sum(contrib))
     return e_inner + e_outer, e_inner
+
+
+def reference_lower_bounds(crop, vs, us, depths, sizes, params):
+    """``detector._lower_bounds`` in its column-first, two-axis, ``np.where`` form."""
+    h, w = crop.shape
+    occupied = np.zeros((h + 1, w + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(crop != 0.0, axis=0, dtype=np.int32), axis=1, out=occupied[1:, 1:])
+
+    def count(half):
+        r0, r1 = np.clip(vs - half, 0, h), np.clip(vs + half + 1, 0, h)
+        c0, c1 = np.clip(us - half, 0, w), np.clip(us + half + 1, 0, w)
+        return occupied[r1, c1] - occupied[r0, c1] - occupied[r1, c0] + occupied[r0, c0]
+
+    half_in = (sizes - 1) // 2
+    half_out = half_in + params.outer_band_px
+    n_inner = count(half_in)
+    n_band = count(half_out) - n_inner
+
+    rows, cols = -(-h // _TILE), -(-w // _TILE)
+    tiles = np.pad(crop, ((0, rows * _TILE - h), (0, cols * _TILE - w)))
+    tiles = tiles.reshape(rows, _TILE, cols, _TILE)
+    reach = -(-half_out // _TILE)
+    hi = _neighbourhood_stack(tiles.max(axis=(1, 3)), int(reach.max()), np.maximum, 0.0)
+    lo = _neighbourhood_stack(np.where(tiles == 0.0, np.inf, tiles).min(axis=(1, 3)),
+                              int(reach.max()), np.minimum, np.inf)
+    tv, tu = vs // _TILE, us // _TILE
+    spread = np.maximum(hi[reach, tv, tu] - depths, depths - lo[reach, tv, tu])
+    bound = n_band * (1.0 / np.maximum(params.depth_epsilon, spread))
+    if not params.inner_skip_empty:
+        bound += depths * (sizes * sizes - n_inner)
+    return bound * (1.0 - 1e-9)
 
 
 def oracle_detect(image, params, proj):

@@ -90,8 +90,8 @@ class TestProject:
 
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0)])
     def test_block_wise_matches_whole_array(self, acquisition_sweep, view):
-        # a real sweep spans many projection blocks; it holds points behind
-        # the image plane and points outside the field of view
+        # a real sweep spans at least three projection blocks; it holds points
+        # behind the image plane and points outside the field of view
         points, scenario = acquisition_sweep
         p = ProjectionParams(resolution=scenario.projection.resolution,
                              half_fov=scenario.projection.half_fov, view_direction=view)
@@ -102,12 +102,25 @@ class TestProject:
         u = np.floor(f * (pts @ p.u_axis) / z + n / 2.0).astype(int)
         v = np.floor(f * (pts @ p.v_axis) / z + n / 2.0).astype(int)
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-        assert len(points) > 10 * 16384 and not keep.all() and not inside.all()
+        assert len(points) >= 3 * _PROJECT_BLOCK and not keep.all() and not inside.all()
         whole = np.full((n, n), np.inf)
         np.minimum.at(whole, (v[inside], u[inside]), z[inside])
         whole[~np.isfinite(whole)] = 0.0
         assert np.array_equal(project(points, p).data, whole)
 
+    @pytest.mark.parametrize("nearest", [0, 1, 2], ids=["first_block", "middle_block", "last_block"])
+    def test_pixel_minimum_across_blocks(self, params, nearest):
+        # one pixel gets a point from each of three blocks, the others stay empty;
+        # whichever block holds the nearest, the pixel keeps its depth
+        n = params.resolution
+        pts = np.tile([0.0, 0.0, -1.0], (3 * _PROJECT_BLOCK, 1))    # behind the plane
+        rows = [7, _PROJECT_BLOCK + 7, 3 * _PROJECT_BLOCK - 7]
+        depths = [12.0, 11.0, 13.0]
+        depths[nearest] = 10.0
+        pts[rows, 2] = depths
+        img = project(pts, params)
+        assert img.data[n // 2, n // 2] == 10.0
+        assert np.count_nonzero(img.data) == 1
 
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
     def test_memory_layout_does_not_change_the_image(self, acquisition_sweep, view):

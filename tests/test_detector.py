@@ -7,11 +7,12 @@ from dronepose.depth_image import DepthImage, ProjectionParams, project
 from dronepose.detector import (
     _FIRST_BATCH,
     KernelParams,
+    _candidates,
     _inner_sizes,
     _lower_bounds,
     detect,
 )
-from oracles import oracle_detect, oracle_inner_size, oracle_scores
+from oracles import oracle_detect, oracle_inner_size, oracle_scores, reference_lower_bounds
 
 
 @pytest.fixture
@@ -250,14 +251,14 @@ class TestDetect:
             assert outer_term(img, u, v, kernel64, proj64) >= 0.0
 
 
-def detector_bounds(image, params, proj):
+def detector_bounds(image, params, proj, lower_bounds=_lower_bounds):
     """(vs, us, bounds) as ``detect`` computes them, on the candidates' crop."""
     data = image.data
-    vs, us = np.nonzero(data)
+    vs, us = _candidates(data)
     depths = data[vs, us]
     crop = data[vs.min(): vs.max() + 1, us.min(): us.max() + 1]
-    bounds = _lower_bounds(crop, vs - vs.min(), us - us.min(), depths,
-                           _inner_sizes(depths, params, proj), params)
+    bounds = lower_bounds(crop, vs - vs.min(), us - us.min(), depths,
+                          _inner_sizes(depths, params, proj), params)
     return vs, us, bounds
 
 
@@ -297,6 +298,57 @@ class TestLowerBounds:
         assert np.count_nonzero(image.data) > 500
         params = KernelParams(drone_width=2.0, outer_band_px=5)
         self.assert_below_exact(image, params, proj)
+
+
+def boxed_image(rng, n, v0, u0, h, w):
+    """Random depths whose non-zero cells span exactly rows v0..v0+h-1, columns u0..u0+w-1."""
+    data = np.zeros((n, n))
+    n_pts = int(rng.integers(1, 4 * h * w)) if h * w > 1 else 1
+    data[rng.integers(v0, v0 + h, n_pts), rng.integers(u0, u0 + w, n_pts)] = rng.uniform(
+        0.5, 40.0, n_pts)
+    data[v0, u0 + int(rng.integers(0, w))] = rng.uniform(0.5, 40.0)
+    data[v0 + h - 1, u0 + int(rng.integers(0, w))] = rng.uniform(0.5, 40.0)
+    data[v0 + int(rng.integers(0, h)), u0] = rng.uniform(0.5, 40.0)
+    data[v0 + int(rng.integers(0, h)), u0 + w - 1] = rng.uniform(0.5, 40.0)
+    return data
+
+
+class TestLowerBoundsMatchReference:
+    """``_lower_bounds`` and the candidate scan keep the bits of their earlier forms."""
+
+    CROPS = {"1x1": (1, 1), "1xk": (1, 37), "kx1": (29, 1), "13x21": (13, 21),
+             "100x203": (100, 203), "full": (512, 512)}
+
+    def assert_same_bits(self, image, params, proj):
+        vs, us = _candidates(image.data)
+        ref_vs, ref_us = np.nonzero(image.data != 0.0)
+        assert vs.dtype == ref_vs.dtype and us.dtype == ref_us.dtype
+        assert np.array_equal(vs, ref_vs) and np.array_equal(us, ref_us)
+        _, _, bounds = detector_bounds(image, params, proj)
+        _, _, expected = detector_bounds(image, params, proj, reference_lower_bounds)
+        assert bounds.dtype == expected.dtype and bounds.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("crop", sorted(CROPS))
+    def test_random_crops(self, proj512, crop, lenient):
+        h, w = self.CROPS[crop]
+        rng = np.random.default_rng(sorted(self.CROPS).index(crop))
+        for _ in range(6):
+            v0, u0 = int(rng.integers(0, 513 - h)), int(rng.integers(0, 513 - w))
+            image = DepthImage(boxed_image(rng, 512, v0, u0, h, w))
+            params = KernelParams(drone_width=float(rng.choice([0.5, 1.0, 3.0])),
+                                  outer_band_px=int(rng.integers(1, 21)),
+                                  depth_epsilon=float(rng.choice([0.05, 0.5, 50.0])),
+                                  max_inner_px=int(rng.choice([3, 101])),
+                                  inner_skip_empty=lenient)
+            self.assert_same_bits(image, params, proj512)
+
+    @pytest.mark.parametrize("index", [5, 7, 13])
+    def test_real_sweeps(self, cold_start_sweeps, index):
+        points, scenario = cold_start_sweeps[index]
+        image = project(points, scenario.projection)
+        assert np.count_nonzero(image.data) > 1000
+        self.assert_same_bits(image, scenario.kernel, scenario.projection)
 
 
 def mirrored(rng, n=64):

@@ -91,6 +91,16 @@ class TestRotationAligningXY:
         with pytest.raises(ValueError, match="yaw unobservable"):
             rotation_aligning_xy((0, 0, 1), (1, 0, 0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", range(6))
+    def test_non_finite_entry_raises(self, value, entry):
+        # a ValueError, not a RuntimeWarning or a rotation read from a NaN or inf
+        vecs = np.array([[1.0, 0.5, 0.2], [0.3, -1.0, 0.4]])
+        vecs.flat[entry] = value
+        with pytest.raises(ValueError, match="finite"):
+            rotation_aligning_xy(vecs[0], vecs[1])
+
     def test_alignment_post_condition(self, rng):
         for _ in range(100):
             a = rng.normal(size=3)

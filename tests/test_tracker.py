@@ -61,6 +61,17 @@ class TestMeanShiftRefine:
     def test_empty_neighborhood_raises(self, params):
         assert mean_shift_refine([(10.0, 10.0, 10.0)], (0.0, 0.0, 0.0), params) is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_start_raises(self, params, value, axis):
+        # a ValueError, not a None that reads as nothing to lock on
+        pts = np.array([[1.0, 2.0, 3.0], [1.1, 2.0, 3.0]])
+        start = pts[0].copy()
+        start[axis] = value
+        with pytest.raises(ValueError, match="finite"):
+            mean_shift_refine(pts, start, params)
+
     def test_matches_oracle_exactly(self, params, rng):
         for _ in range(20):
             n = int(rng.integers(5, 400))

@@ -318,6 +318,15 @@ class TestCorrectRotation:
         again = correct_rotation(corrected, np.eye(3), motion, corrected @ ego)
         assert rotation_angle(again.T @ corrected) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["observed", "self"])
+    def test_non_finite_motion_raises(self, value, which):
+        motion, self_motion = np.array([2.0, 1.0, 0.1]), np.array([2.0, 1.0, -0.2])
+        (motion if which == "observed" else self_motion)[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            correct_rotation(np.eye(3), np.eye(3), motion, self_motion)
+
     def test_vertical_motion_propagates_degeneracy(self):
         with pytest.raises(ValueError, match="yaw unobservable"):
             correct_rotation(np.eye(3), np.eye(3), (0, 0, 2.0), (0, 0, 2.0))
