@@ -54,9 +54,11 @@ class ProjectionParams:
 
 @dataclass
 class DepthImage:
-    """N x N planar depths in meters; 0 marks a pixel with no return."""
+    """N x N planar depths in meters, 0 where no return landed; ``front``: the rows
+    of ``project``'s points in front of the image plane, None if built elsewhere."""
 
     data: np.ndarray
+    front: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -67,6 +69,20 @@ class DepthImage:
             raise ValueError("depth values must be finite and >= 0")
 
 
+def _project_block(blk, start, params: ProjectionParams):
+    """(rows in front + start, flat pixels, depths) of one block; its temporaries go on return."""
+    n, f = params.resolution, params.focal
+    z = blk @ params.w_axis
+    if not np.isfinite(z).all():    # as it is for any non-finite point
+        raise ValueError("points and their depths must be finite")
+    front = np.flatnonzero(z > 0.0)     # a gather: 6-12 % of a sweep's rows
+    blk, z = np.take(blk, front, axis=0), np.take(z, front)
+    u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
+    v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
+    inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+    return front + start, (v[inside] * n + u[inside]).astype(np.intp), z[inside]  # exact in floats
+
+
 def project(points, params: ProjectionParams) -> DepthImage:
     """Bin points into the image, keeping the smallest depth per pixel.
 
@@ -75,30 +91,19 @@ def project(points, params: ProjectionParams) -> DepthImage:
     """
     # C order once: a block's matmuls give the same bits on any input layout.
     pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 3)
-    n, f = params.resolution, params.focal
     # Block-wise, so a full sweep's temporaries stay small; one scatter at the
     # end keeps each pixel's minimum, which does not depend on the points' order.
-    cells, depths = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]     # flat pixel, depth
     # Bounds on the floats: a point just in front of the plane has a pixel
     # index past int64's range (or an infinite one, from a subnormal z),
-    # which must not reach the cast.
+    # which must not reach the cast. No points make one empty block.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pts), _PROJECT_BLOCK):
-            blk = pts[start:start + _PROJECT_BLOCK]
-            z = blk @ params.w_axis
-            if not np.isfinite(z).all():    # as it is for any non-finite point
-                raise ValueError("points and their depths must be finite")
-            front = np.flatnonzero(z > 0.0)     # a gather: 6-12 % of a sweep's rows
-            blk, z = np.take(blk, front, axis=0), np.take(z, front)
-            u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
-            v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
-            inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-            cells.append((v[inside] * n + u[inside]).astype(np.intp))    # exact in floats
-            depths.append(z[inside])
-    depth = np.full(n * n, np.inf)
-    np.minimum.at(depth, np.concatenate(cells), np.concatenate(depths))
-    depth[~np.isfinite(depth)] = 0.0
-    return DepthImage(depth.reshape(n, n))
+        front, cells, depths = map(np.concatenate, zip(*[
+            _project_block(pts[start:start + _PROJECT_BLOCK], start, params)
+            for start in range(0, max(len(pts), 1), _PROJECT_BLOCK)]))
+    depth = np.zeros(params.resolution ** 2)    # depths are finite, > 0: inf only where one lands
+    depth[cells] = np.inf
+    np.minimum.at(depth, cells, depths)
+    return DepthImage(depth.reshape(params.resolution, -1), front)
 
 
 def unproject(pixel, depth: float, params: ProjectionParams) -> np.ndarray:

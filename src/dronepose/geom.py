@@ -28,10 +28,18 @@ def clamp_unit(x: float) -> float:
     return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm``'s own arithmetic for a vector; inf, not a RuntimeWarning, on overflow."""
+    if math.hypot(*v.tolist()) < 1e150:     # the squares and their sum stay finite
+        return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):        # near 1e154 or past it, or NaN: rare
+        return math.sqrt(v.dot(v))
+
+
 def angle_between(a, b) -> float:
     """Angle in [0, pi] between two directions."""
     a, b = _vec(a), _vec(b)
-    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))   # np.linalg.norm's own arithmetic
+    na, nb = _norm(a), _norm(b)
     if not (1e-12 <= na < math.inf and 1e-12 <= nb < math.inf):     # False on NaN
         raise ValueError("degenerate direction: zero-length or non-finite input")
     return float(np.arccos(clamp_unit(float(np.dot(a, b) / (na * nb)))))
@@ -55,7 +63,7 @@ def rotation_about_z(theta: float) -> np.ndarray:
 def rotation_about_axis(axis, theta: float) -> np.ndarray:
     """Rodrigues rotation about an arbitrary (non-zero) axis."""
     axis = _vec(axis)
-    n = math.sqrt(axis.dot(axis))       # np.linalg.norm of a vector, without its wrapper
+    n = _norm(axis)
     if not (1e-12 <= n < math.inf and math.isfinite(theta)):     # False on NaN
         raise ValueError("rotation axis must be non-zero and finite, and the angle finite")
     x, y, z = (axis / n).tolist()
@@ -66,16 +74,16 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
 def rotation_aligning_xy(a, b) -> np.ndarray:
     """Z-axis rotation taking the XY-projection of ``a`` onto that of ``b``.
 
-    Raises ValueError on a non-finite entry, and when either projection is
-    too short to define a heading (near-vertical motion).
+    Raises ValueError on a non-finite entry or XY cross or dot product, and
+    when either projection is too short to define a heading (near-vertical motion).
     """
-    a, b = _vec(a), _vec(b)
-    if not all(map(math.isfinite, a.tolist() + b.tolist())):
-        raise ValueError("motion vectors must be finite")
+    a, b = _vec(a).tolist(), _vec(b).tolist()
+    cross, dot = a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]   # inf, not a warning
+    if not all(map(math.isfinite, a + b + [cross, dot])):
+        raise ValueError("motion vectors and their XY products must be finite")
     if np.hypot(a[0], a[1]) <= XY_DEGENERACY_NORM or np.hypot(b[0], b[1]) <= XY_DEGENERACY_NORM:
         raise ValueError("vertical motion, yaw unobservable")
-    theta = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
-    return rotation_about_z(float(theta))
+    return rotation_about_z(float(np.arctan2(cross, dot)))
 
 
 def euler_xyz(rotation) -> tuple[float, float, float]:
@@ -132,7 +140,7 @@ def rotation_log(rotation) -> np.ndarray:
 def rotation_exp(rotvec) -> np.ndarray:
     """Rotation matrix of a rotation vector."""
     rv = _vec(rotvec)
-    theta = math.sqrt(rv.dot(rv))
+    theta = _norm(rv)
     return np.eye(3) if theta < 1e-12 else rotation_about_axis(rv, theta)
 
 
@@ -148,11 +156,13 @@ def rotation_angle(rotation) -> float:
 
 def geodesic_step(start, target, max_step: float) -> np.ndarray:
     """Move from ``start`` toward ``target`` along the geodesic, at most ``max_step`` rad."""
-    start = _vec(start)
-    rv = rotation_log(start.T @ _vec(target))
+    start, target = _vec(start), _vec(target)
+    if not all(map(math.isfinite, start.ravel().tolist() + target.ravel().tolist())):
+        raise ValueError("rotation matrix has a non-finite entry")     # before the matmul
+    rv = rotation_log(start.T @ target)
     theta = math.sqrt(rv.dot(rv))
     if theta <= max_step:
-        return _vec(target).copy()
+        return target.copy()
     return start @ rotation_exp(rv * (max_step / theta))
 
 

@@ -115,9 +115,16 @@ def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
 
     Also the re-acquisition path after a loss. None when there is nothing to
     lock on: the image is empty, or no return lies within ``radius`` of the detection.
+
+    Mean-shift reads only the rows ``project`` found in front of the image plane
+    when ``detection.depth > 2 * radius``, with the same bits: a point within
+    ``radius`` of the detection (up to ulps) has depth above ``depth - radius > 0``,
+    and the rows keep input order, so the support is the same. Else: the whole sweep.
     """
-    detection = detect(project(frame.points, proj), kernel, proj)
+    detection = detect(image := project(frame.points, proj), kernel, proj)
     if detection is None:
         return None
-    position = mean_shift_refine(frame.points, detection.position, params)
+    deep = detection.depth > 2.0 * params.radius
+    points = np.take(frame.points, image.front, axis=0) if deep else frame.points
+    position = mean_shift_refine(points, detection.position, params)
     return None if position is None else TrackState(position=position)

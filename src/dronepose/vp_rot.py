@@ -16,6 +16,7 @@ bounded angular velocity so axes cannot swap frame-to-frame.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -117,8 +118,9 @@ def estimate_rotation(vehicle_vds, drone_vds, residuals) -> np.ndarray:
     bases is projected to the nearest proper rotation since noisy
     directions make it slightly non-orthogonal.
     """
-    vg = _vec(vehicle_vds)
-    vd = _vec(drone_vds)
+    vg, vd = _vec(vehicle_vds), _vec(drone_vds)
+    if not all(map(math.isfinite, vg.ravel().tolist() + vd.ravel().tolist())):
+        raise ValueError("vanishing directions must be finite")    # before their norms
     a, b = np.argsort(residuals, kind="stable")[:2]
     vg2 = complete_vd(vg[:, a], vg[:, b])
     vd2 = complete_vd(vd[:, a], vd[:, b])

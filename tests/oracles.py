@@ -19,6 +19,12 @@ Rodrigues' formula, the normalized column read back strided), and
 ``np.linalg.det`` form: the library must give the same bits, the same RNG
 stream and the same verdicts.
 
+``reference_acquire`` is acquisition as it was before mean-shift read only
+the rows in front of the image plane: the support is selected from the
+whole sweep. ``reference_rotation_aligning_xy`` forms the heading's cross
+and dot products on numpy scalars, as before they moved to Python floats.
+The library must give their bits.
+
 ``reference_lower_bounds`` is the detector's lower bound as it was before
 its passes over the whole crop were reordered: the integral image summed
 along columns first, the tile maxima over both axes at once and the tile
@@ -42,9 +48,11 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dronepose.detector import _TILE, _neighbourhood_stack
-from dronepose.geom import Pose, rotation_exp, rotation_log
+from dronepose.depth_image import project
+from dronepose.detector import _TILE, _neighbourhood_stack, detect
+from dronepose.geom import Pose, rotation_about_z, rotation_exp, rotation_log
 from dronepose.scan_sim import _BLOCK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
+from dronepose.tracker import mean_shift_refine
 from dronepose.vp_rot import MATCH_LIMIT, AmbiguousMatchError
 
 
@@ -176,6 +184,18 @@ def oracle_match(vehicle_vds, drone_vds, prior):
                 best = cand
     _, perm, signs, residuals = best
     return perm, signs, np.array(residuals)
+
+
+def reference_acquire(frame, proj, kernel, params):
+    """The locked position (None when nothing locks), refined on the whole sweep."""
+    detection = detect(project(frame.points, proj), kernel, proj)
+    return None if detection is None else mean_shift_refine(frame.points, detection.position, params)
+
+
+def reference_rotation_aligning_xy(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    theta = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
+    return rotation_about_z(float(theta))
 
 
 def reference_support(points, center, radius):

@@ -3,7 +3,7 @@ import pytest
 
 import tracemalloc
 
-from dronepose.depth_image import _PROJECT_BLOCK, ProjectionParams, project, unproject
+from dronepose.depth_image import _PROJECT_BLOCK, DepthImage, ProjectionParams, project, unproject
 from conftest import ROOT
 
 
@@ -136,6 +136,37 @@ class TestProject:
         for layout in (points.copy(order="F"), wide[:, 1:6:2], wide[:, 1:6:2].T.T):
             assert not layout.flags.c_contiguous
             assert np.array_equal(project(layout, p).data, expected)
+
+    @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
+    def test_front_is_the_rows_with_depth_above_zero(self, acquisition_sweep, view):
+        # in input order, in the field of view or not
+        points, scenario = acquisition_sweep
+        p = ProjectionParams(resolution=scenario.projection.resolution,
+                             half_fov=scenario.projection.half_fov, view_direction=view)
+        front = project(points, p).front
+        want = np.flatnonzero(points @ p.w_axis > 0.0)
+        assert 0 < len(want) < len(points)
+        assert front.dtype == np.intp and np.array_equal(front, want)
+
+    def test_front_across_block_edges(self, params):
+        # rows on either side of each block edge, on the plane (z = 0 or -0),
+        # just off it and out of the field of view
+        pts = np.tile([0.0, 0.0, -1.0], (3 * _PROJECT_BLOCK + 5, 1))     # behind the plane
+        rows = [0, _PROJECT_BLOCK - 1, _PROJECT_BLOCK, 2 * _PROJECT_BLOCK + 1,
+                3 * _PROJECT_BLOCK - 1, 3 * _PROJECT_BLOCK + 4]
+        pts[rows, 2] = [5.0, 5e-324, 1e-300, 7.0, 3.0, 2.0]
+        pts[_PROJECT_BLOCK + 1, 2] = 0.0
+        pts[2 * _PROJECT_BLOCK, 2] = -0.0
+        pts[2 * _PROJECT_BLOCK - 1] = [1e3, 0.0, 1.0]        # in front, outside the image
+        image = project(pts, params)
+        assert np.array_equal(image.front, sorted(rows + [2 * _PROJECT_BLOCK - 1]))
+        n = params.resolution       # the on-axis rows share the centre pixel
+        assert image.data[n // 2, n // 2] == 5e-324 and np.count_nonzero(image.data) == 1
+
+    def test_front_of_no_points_and_of_an_image_built_elsewhere(self, params):
+        front = project(np.empty((0, 3)), params).front
+        assert front.dtype == np.intp and len(front) == 0
+        assert DepthImage(np.zeros((64, 64))).front is None
 
     def test_c_ordered_points_are_not_copied(self, acquisition_sweep):
         points, scenario = acquisition_sweep

@@ -5,6 +5,7 @@ import pytest
 
 from dronepose.geom import (
     Pose,
+    _norm,
     angle_between,
     euler_to_rotation,
     euler_xyz,
@@ -20,7 +21,12 @@ from dronepose.geom import (
     rotation_log,
     rotation_aligning_xy,
 )
-from oracles import reference_is_rotation, reference_rotation_about_axis
+from oracles import (
+    reference_angle_between,
+    reference_is_rotation,
+    reference_rotation_about_axis,
+    reference_rotation_aligning_xy,
+)
 
 
 def random_rotation(rng):
@@ -100,6 +106,24 @@ class TestRotationAligningXY:
         vecs.flat[entry] = value
         with pytest.raises(ValueError, match="finite"):
             rotation_aligning_xy(vecs[0], vecs[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
+                                      ((1e308, 1e308, 0.0), (2.0, 1.0, 0.0)),
+                                      ((1.0, -3.0, 0.0), (-1e308, 1e308, 5.0)),
+                                      ((1e200, 0.0, 0.0), (0.0, 1e200, 0.0))])
+    def test_overflowing_products_raise(self, a, b):
+        # (1e308, 1e308) against (2, 1) once gave a -45 deg heading without a word
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="finite"):
+                rotation_aligning_xy(x, y)
+
+    def test_matches_reference(self, rng):
+        # the products on Python floats are numpy's scalar products, bit for bit
+        for scale in (1e-3, 1.0, 1e3, 1e150):
+            for a, b in rng.normal(scale=scale, size=(200, 2, 3)):
+                got = rotation_aligning_xy(a, b)
+                assert np.array_equal(got, reference_rotation_aligning_xy(a, b))
 
     def test_alignment_post_condition(self, rng):
         for _ in range(100):
@@ -198,6 +222,40 @@ class TestRodrigues:
                 rotation_exp(rv)
 
 
+class TestNormOverflow:
+    """A squared norm that overflows raises ValueError in ``angle_between``,
+    ``rotation_about_axis`` and ``rotation_exp``; a finite one keeps its bits."""
+
+    # squared norms of about 1e600, 3e308, 2.3e308 and 1e400
+    huge = [(1e300, 0.0, 0.0), (1e154, -1e154, 1e154), (0.0, 1.5e154, 0.0), (1.0, 2.0, 1e200)]
+    # squared norms of 1.69e308, 1.62e308, 3e300 and 1e300 (the dot under errstate), and 169
+    large = [(1.3e154, 0.0, 0.0), (9e153, -9e153, 0.0), (1e150, 1e150, -1e150),
+             (0.0, 0.0, 1e150), (3.0, 4.0, 12.0)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", huge)
+    def test_overflow_raises(self, v):
+        for a, b in ((v, (1.0, 0.0, 0.0)), ((1.0, 0.0, 0.0), v)):
+            with pytest.raises(ValueError, match="non-finite"):
+                angle_between(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            rotation_about_axis(v, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            rotation_exp(v)
+        assert _norm(np.array(v)) == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", large)
+    def test_finite_squared_norm_keeps_its_bits(self, v, rng):
+        v = np.array(v)
+        assert _norm(v) == np.linalg.norm(v)
+        for w in ((0.0, 1.0, 0.0), rng.normal(size=3)):
+            assert angle_between(v, w) == reference_angle_between(v, np.asarray(w))
+        assert np.array_equal(rotation_about_axis(v, 0.3), reference_rotation_about_axis(v, 0.3))
+        assert np.array_equal(rotation_exp(v),
+                              reference_rotation_about_axis(v, float(np.linalg.norm(v))))
+
+
 class TestLogExp:
     def test_round_trip(self, rng):
         for _ in range(300):
@@ -236,6 +294,17 @@ class TestGeodesicStep:
         target = rotation_about_z(np.pi / 2)
         stepped = geodesic_step(start, target, np.deg2rad(2.0))
         assert rotation_angle(stepped) == pytest.approx(np.deg2rad(2.0), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_entry_raises(self, bad, entry):
+        # an inf entry gave "invalid value encountered in matmul" before the ValueError
+        r = rotation_about_axis((1.0, 2.0, 3.0), 0.7)
+        r[entry] = bad
+        for start, target in ((r, np.eye(3)), (np.eye(3), r)):
+            with pytest.raises(ValueError, match="non-finite"):
+                geodesic_step(start, target, 0.1)
 
 
 class TestOrthonormalize:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dronepose import pipeline
-from dronepose.depth_image import ProjectionParams
-from dronepose.detector import KernelParams
+from dronepose.depth_image import ProjectionParams, project
+from dronepose.detector import KernelParams, detect
 from dronepose.geom import Pose
 from dronepose.scan_sim import (
     DroneModel,
@@ -24,7 +24,7 @@ from dronepose.tracker import (
     track_step,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import oracle_mean_shift, reference_support
+from oracles import oracle_mean_shift, reference_acquire, reference_support
 
 
 @pytest.fixture
@@ -294,3 +294,70 @@ class TestAcquire:
         proj, kernel = ProjectionParams(), KernelParams(drone_width=0.15)
         assert acquire(frame, proj, kernel, MeanShiftParams(radius=1e-3)) is None
         assert acquire(frame, proj, kernel, MeanShiftParams()).status == "locked"
+
+
+class TestAcquireMatchesReference:
+    """``acquire`` locks on the bits that refining on the whole sweep gives.
+
+    Mean-shift reads only the rows ``project`` found in front of the image
+    plane when the detection lies deeper than ``2 * radius``, and the whole
+    sweep otherwise; either way the position must keep its bytes.
+    """
+
+    @staticmethod
+    def check(frame, proj, kernel, params):
+        got = acquire(frame, proj, kernel, params)
+        want = reference_acquire(frame, proj, kernel, params)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.position.tobytes() == want.tobytes()
+        return got
+
+    @staticmethod
+    def frame(points):
+        return ScanFrame(points, 0.0, 0.12, Pose(np.eye(3), np.zeros(3)))
+
+    def test_cold_start_sweeps(self, cold_start_sweeps):
+        for points, scenario in cold_start_sweeps.values():
+            state = self.check(self.frame(points), scenario.projection, scenario.kernel,
+                               scenario.meanshift)
+            assert state is not None
+
+    def test_acquisition_sweep(self, acquisition_sweep):
+        points, scenario = acquisition_sweep
+        assert self.check(self.frame(points), scenario.projection, scenario.kernel,
+                          scenario.meanshift) is not None
+
+    @pytest.mark.parametrize("view", [(0.3, -0.1, 1.0), (-0.5, 0.2, 0.6), (0.9, 0.6, 0.4)])
+    def test_tilted_views(self, acquisition_sweep, view):
+        points, scenario = acquisition_sweep
+        proj = ProjectionParams(resolution=scenario.projection.resolution,
+                                half_fov=scenario.projection.half_fov, view_direction=view)
+        assert self.check(self.frame(points), proj, scenario.kernel, scenario.meanshift) is not None
+
+    def test_no_row_in_front_of_the_image_plane(self, acquisition_sweep):
+        points, scenario = acquisition_sweep
+        behind = points[points[:, 2] <= 0.0]
+        assert len(behind) > 0
+        assert self.check(self.frame(behind), scenario.projection, scenario.kernel,
+                          scenario.meanshift) is None
+
+    def test_shallow_detection_reads_returns_behind_the_plane(self):
+        # the drone 0.6 m above the sensor, a return cluster just behind the image
+        # plane about 0.58 m from the detection: depth <= 2 * radius, so the
+        # support must come from the whole sweep, behind-plane rows included
+        scene = Scene([])
+        traj = Trajectories(drone=static_trajectory((0.3, 0.2, 2.1)),
+                            vehicle=static_trajectory((0.0, 0.0, 1.5)))
+        sweep = simulate_full_scan(scene, traj, LidarModel(points_per_second=400000.0),
+                                   SWEEP_OMEGA, 0.0, drone=DroneModel(width=0.15))
+        behind = [0.3, 0.2, -0.05] + np.random.default_rng(0).normal(scale=0.02, size=(30, 3))
+        points = np.concatenate([sweep.points, behind])
+        proj, kernel, params = ProjectionParams(), KernelParams(drone_width=0.15), MeanShiftParams()
+        state = self.check(self.frame(points), proj, kernel, params)
+        image = project(points, proj)
+        detection = detect(image, kernel, proj)
+        assert detection.depth <= 2.0 * params.radius
+        # the premise: the rows in front alone would lock elsewhere
+        front_only = mean_shift_refine(points[image.front], detection.position, params)
+        assert not np.array_equal(front_only, state.position)

@@ -159,6 +159,18 @@ class TestEstimateRotation:
         est = estimate_rotation(axes, rot.T @ axes, np.zeros(3))
         assert rotation_angle(est.T @ rot) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("which", ["vehicle", "drone"])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (1, 2)])
+    def test_non_finite_entry_raises(self, bad, which, entry):
+        # an inf entry gave "invalid value encountered in divide"; one in the
+        # column the residuals leave out was read past
+        vg, vd = np.eye(3), rotation_about_z(0.3).T
+        (vg if which == "vehicle" else vd)[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            estimate_rotation(vg, vd, np.array([0.0, 0.1, 0.2]))
+
     def test_output_is_proper_rotation_under_noise(self, rng):
         for _ in range(100):
             rot = random_rotation(rng)
@@ -228,6 +240,16 @@ class TestFilterRotation:
             state = filter_rotation(state, random_rotation(rng), t)
             step = rotation_angle(prev.T @ state.rotation)
             assert step <= np.deg2rad(15.0) * dt + 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("which", ["measured", "state"])
+    def test_non_finite_entry_raises(self, bad, which):
+        r = rotation_about_z(0.2)
+        r[1, 0] = bad
+        state = RotationFilterState(r if which == "state" else np.eye(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_rotation(state, r if which == "measured" else np.eye(3), 1.0)
 
     def test_requires_increasing_time(self):
         state = RotationFilterState(rotation=np.eye(3), last_time=1.0)
