@@ -65,7 +65,8 @@ class DepthImage:
         n = self.data.shape[0]
         if self.data.shape != (n, n):
             raise ValueError("depth image must be square")
-        if np.any(self.data < 0.0) or not np.all(np.isfinite(self.data)):
+        # No temporaries; NaN fails both comparisons, and a 0 x 0 image is valid.
+        if self.data.size and not (0.0 <= self.data.min() and self.data.max() < np.inf):
             raise ValueError("depth values must be finite and >= 0")
 
 

@@ -111,11 +111,12 @@ def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
 def _trace_skew(r: np.ndarray) -> tuple[float, np.ndarray]:
     """trace(R) and R's skew differences; ValueError unless the four are finite,
     as they are exactly when the nine entries are (and no sum overflows)."""
-    trace = float(np.trace(r))
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if not all(map(math.isfinite, (trace, *skew.tolist()))):
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r.ravel().tolist()
+    trace = r00 + r11 + r22     # np.trace's order: (r00 + r11) + r22
+    skew = (r21 - r12, r02 - r20, r10 - r01)
+    if not all(map(math.isfinite, (trace, *skew))):
         raise ValueError("rotation matrix has a non-finite entry")
-    return trace, skew
+    return trace, np.array(skew)
 
 
 def rotation_log(rotation) -> np.ndarray:
@@ -173,7 +174,7 @@ def orthonormalize(rotation) -> np.ndarray:
     on an infinite one.
     """
     r = _vec(rotation)
-    if not all(map(math.isfinite, r.flat)):     # cheaper than np.isfinite on 9 entries
+    if not all(map(math.isfinite, r.ravel().tolist())):     # cheaper than np.isfinite
         raise ValueError("cannot orthonormalize a matrix with a non-finite entry")
     u, _, vt = np.linalg.svd(r)
     # u @ vt is orthogonal to rounding, so its determinant is +-1 within a few

@@ -16,7 +16,7 @@ import numpy as np
 from .depth_image import ProjectionParams, project
 from .detector import KernelParams, detect
 
-_SUPPORT_BLOCK = 16384     # points per block when selecting the mean-shift support
+_SUPPORT_BLOCK = 65536     # points per block when selecting the mean-shift support: 0.5 MB a column
 
 
 @dataclass
@@ -62,8 +62,7 @@ def _support(pts, center, radius):
     kept = [pts[:0]]
     for i in range(0, len(pts), _SUPPORT_BLOCK):   # a full sweep's temporaries stay small
         blk = pts[i:i + _SUPPORT_BLOCK]
-        near = np.take(blk, np.flatnonzero(np.abs(blk[:, 0] - center[0]) <= max(radius, 1e-150)),
-                       axis=0)
+        near = blk.take((np.abs(blk[:, 0] - center[0]) <= max(radius, 1e-150)).nonzero()[0], axis=0)
         dx, dy, dz = (near - center).T
         kept.append(near[np.sqrt(dx * dx + dy * dy + dz * dz) <= radius])
     return np.concatenate(kept)
@@ -85,11 +84,14 @@ def mean_shift_refine(points, start, params: MeanShiftParams,
         return None
     n_iter = params.iterations if iterations is None else iterations
     for _ in range(n_iter):
-        sq = np.sum((support - estimate) ** 2, axis=1)
-        weights = np.exp(-sq / params.bandwidth)
-        if not weights.any():   # all underflowed: the same weighted mean, scaled up
+        offsets = support - estimate
+        sq = np.add.reduce(np.square(offsets, out=offsets), axis=1)    # np.sum's own reduce
+        weights = np.exp(sq / -params.bandwidth)    # -sq / bandwidth, bit for bit
+        total = np.add.reduce(weights)
+        if total == 0.0:    # all underflowed (weights are >= 0): the same weighted mean, scaled up
             weights = np.exp(-(sq - sq.min()) / params.bandwidth)
-        estimate = (weights @ support) / np.sum(weights)
+            total = np.add.reduce(weights)
+        estimate = (weights @ support) / total
     return estimate
 
 

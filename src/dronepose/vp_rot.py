@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geom import (
+    _norm,
     _vec,
     angle_between,
-    clamp_unit,
     geodesic_step,
     orthonormalize,
     rotation_aligning_xy,
@@ -33,6 +34,7 @@ from .geom import (
 
 MATCH_LIMIT = np.deg2rad(45.0)
 _MIN_PAIR_SIN = np.sin(np.deg2rad(10.0))
+_QUIET = nullcontext()
 
 
 class AmbiguousMatchError(ValueError):
@@ -44,14 +46,20 @@ def complete_vd(v1, v2) -> np.ndarray:
 
     The columns are unit vectors, the third orthogonal to the others, and
     the determinant is ``|v1 x v2|``, which the pair check keeps above sin 10 deg.
+    Raises ValueError on a zero-length or non-finite direction.
     """
-    (a0, a1, a2), (b0, b1, b2) = ((_vec(v) / np.linalg.norm(v)).tolist() for v in (v1, v2))
-    # np.cross's own arithmetic, on floats: one multiply each, then the subtraction.
-    cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    norm = np.linalg.norm(cross)
+    v1, v2 = _vec(v1), _vec(v2)
+    n1, n2 = _norm(v1), _norm(v2)
+    if not (0.0 < n1 < math.inf and 0.0 < n2 < math.inf):     # False on NaN
+        raise ValueError("vanishing directions must be non-zero and finite")
+    # Divisions on floats, as numpy rounds them; np.cross's own arithmetic: one
+    # multiply each, then the subtraction.
+    (a0, a1, a2), (b0, b1, b2) = [x / n1 for x in v1.tolist()], [x / n2 for x in v2.tolist()]
+    cross = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    norm = _norm(np.array(cross))
     if norm <= _MIN_PAIR_SIN:
         raise ValueError("near-collinear vanishing directions")
-    c0, c1, c2 = (cross / norm).tolist()
+    c0, c1, c2 = (x / norm for x in cross)
     return np.array([[a0, b0, c0], [a1, b1, c1], [a2, b2, c2]])
 
 
@@ -64,11 +72,7 @@ class MatchResult:
     residuals: np.ndarray  # rad, per vehicle column
 
     def apply(self, drone_vds) -> np.ndarray:
-        v = _vec(drone_vds)
-        out = np.empty((3, 3))
-        for i in range(3):
-            out[:, i] = self.signs[i] * v[:, self.permutation[i]]
-        return out
+        return _vec(drone_vds)[:, self.permutation] * self.signs    # signs +-1: exact
 
 
 def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
@@ -79,19 +83,23 @@ def match_vds(vehicle_vds, drone_vds, prior) -> MatchResult:
     45 degrees, past which Manhattan-world correspondence is undefined.
     """
     vg, vd, prior = _vec(vehicle_vds), _vec(drone_vds), _vec(prior)
-    if not (np.isfinite(vd).all() and np.isfinite(prior).all()):   # before inf * 0 in the matmul
+    # inf or NaN exactly when an entry is; hypot itself does not overflow.
+    size = math.hypot(*vg.ravel().tolist(), *vd.ravel().tolist(), *prior.ravel().tolist())
+    if not math.isfinite(size):     # before inf * 0 in the matmul
         raise ValueError("degenerate direction: zero-length or non-finite input")
-    moved = prior @ vd
-    # angle_between of each pair, with each column's norm taken once.
-    norms_g = [np.linalg.norm(vg[:, i]) for i in range(3)]
-    norms_m = [np.linalg.norm(moved[:, k]) for k in range(3)]
-    if not all(1e-12 <= n < np.inf for n in norms_g + norms_m):    # False on NaN
-        raise ValueError("degenerate direction: zero-length or non-finite input")
+    # At this size a product may overflow: inf, not a RuntimeWarning (rare).
+    with np.errstate(over="ignore", invalid="ignore") if size >= 1e50 else _QUIET:
+        moved = prior @ vd
+        # angle_between of each pair: each column's norm once, np.linalg.norm's arithmetic,
+        # and the nine dot products in one matmul, which gives np.dot's bits.
+        norms_g = [math.sqrt(c.dot(c)) for c in vg.T]
+        norms_m = [math.sqrt(c.dot(c)) for c in moved.T]
+        if not all(1e-12 <= n < math.inf for n in norms_g + norms_m):    # False on NaN
+            raise ValueError("degenerate direction: zero-length or non-finite input")
+        cos = (vg.T @ moved) / np.multiply.outer(norms_g, norms_m)
     pairs = []
-    for i in range(3):
-        for k in range(3):
-            cosang = float(np.dot(vg[:, i], moved[:, k]) / (norms_g[i] * norms_m[k]))
-            a = float(np.arccos(clamp_unit(cosang)))
+    for i, row in enumerate(np.arccos(cos.clip(-1.0, 1.0)).tolist()):
+        for k, a in enumerate(row):
             pairs += [(a, i, k, 0), (np.pi - a, i, k, 1)]
     # Smallest residual first; ties go to the smaller (i, k, flipped).
     perm, signs, residuals = [0, 0, 0], [1.0, 1.0, 1.0], np.zeros(3)
@@ -121,7 +129,7 @@ def estimate_rotation(vehicle_vds, drone_vds, residuals) -> np.ndarray:
     vg, vd = _vec(vehicle_vds), _vec(drone_vds)
     if not all(map(math.isfinite, vg.ravel().tolist() + vd.ravel().tolist())):
         raise ValueError("vanishing directions must be finite")    # before their norms
-    a, b = np.argsort(residuals, kind="stable")[:2]
+    a, b = _vec(residuals).argsort(kind="stable")[:2]     # np.argsort without its wrapper
     vg2 = complete_vd(vg[:, a], vg[:, b])
     vd2 = complete_vd(vd[:, a], vd[:, b])
     try:
@@ -141,15 +149,16 @@ class RotationFilterState:
 
     def __post_init__(self):
         self.rotation = _vec(self.rotation)
+        if not (0.0 <= self.max_rate < math.inf and math.isfinite(self.last_time)):   # NaN too
+            raise ValueError("max_rate must be finite and >= 0, and last_time finite")
 
 
 def filter_rotation(state: RotationFilterState, measured, t: float) -> RotationFilterState:
     """Step toward the measurement along the geodesic, capped at max_rate * dt."""
-    if t <= state.last_time:
-        raise ValueError("filter update time must be strictly increasing")
-    dt = t - state.last_time
-    stepped = geodesic_step(state.rotation, _vec(measured), state.max_rate * dt)
-    return replace(state, rotation=orthonormalize(stepped), last_time=t)
+    if not (math.isfinite(t) and t > state.last_time):
+        raise ValueError("filter update time must be finite and strictly increasing")
+    stepped = geodesic_step(state.rotation, _vec(measured), state.max_rate * (t - state.last_time))
+    return RotationFilterState(orthonormalize(stepped), state.max_rate, t)
 
 
 @dataclass

@@ -203,6 +203,23 @@ def reference_support(points, center, radius):
     return points[np.linalg.norm(points - center, axis=1) <= radius]
 
 
+def reference_mean_shift_refine(points, start, params, iterations=None):
+    """mean_shift_refine's earlier numpy form: np.sum, ``-sq / bandwidth`` and
+    ``weights.any()`` for the all-underflow case, on the row-wise norm support."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    estimate = np.asarray(start, dtype=float).copy()
+    support = reference_support(pts, estimate, params.radius)
+    if len(support) == 0:
+        return None
+    for _ in range(params.iterations if iterations is None else iterations):
+        sq = np.sum((support - estimate) ** 2, axis=1)
+        weights = np.exp(-sq / params.bandwidth)
+        if not weights.any():
+            weights = np.exp(-(sq - sq.min()) / params.bandwidth)
+        estimate = (weights @ support) / np.sum(weights)
+    return estimate
+
+
 def reference_angle_between(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na < 1e-12 or nb < 1e-12:

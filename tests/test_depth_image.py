@@ -192,6 +192,19 @@ class TestProject:
                 project(bad, params)
 
 
+class TestDepthImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_rejects_negative_or_non_finite_depth(self, bad):
+        data = np.zeros((64, 64))
+        data[63, 0] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DepthImage(data)
+
+    def test_accepts_zero_depths_and_an_empty_image(self):
+        assert DepthImage(np.full((4, 4), -0.0)).data.shape == (4, 4)
+        assert DepthImage(np.zeros((0, 0))).data.shape == (0, 0)
+
+
 class TestUnproject:
     def test_center_pixel_depth(self, params):
         n = params.resolution

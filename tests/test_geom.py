@@ -6,6 +6,7 @@ import pytest
 from dronepose.geom import (
     Pose,
     _norm,
+    _trace_skew,
     angle_between,
     euler_to_rotation,
     euler_xyz,
@@ -282,6 +283,24 @@ class TestLogExp:
         for fn in (rotation_log, rotation_angle):
             with pytest.raises(ValueError, match="non-finite"):
                 fn(r)
+
+
+class TestTraceSkewSameBits:
+    def test_matches_np_trace(self, rng):
+        # mixed magnitudes, so that summing the diagonal in another order shows
+        for _ in range(5000):
+            r = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(3, 3))
+            r = r.T if rng.random() < 0.5 else r
+            trace, skew = _trace_skew(r)
+            assert trace == float(np.trace(r))
+            assert skew.tobytes() == np.array(
+                [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_raises(self):
+        r = np.diag([1e308, 1e308, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            _trace_skew(r)
 
 
 class TestGeodesicStep:

@@ -24,7 +24,12 @@ from dronepose.tracker import (
     track_step,
 )
 from conftest import SWEEP_OMEGA, static_trajectory
-from oracles import oracle_mean_shift, reference_acquire, reference_support
+from oracles import (
+    oracle_mean_shift,
+    reference_acquire,
+    reference_mean_shift_refine,
+    reference_support,
+)
 
 
 @pytest.fixture
@@ -87,7 +92,7 @@ class TestMeanShiftRefine:
         # sweep-sized input spanning several support blocks, partial last block;
         # every third point lies outside the support, the rest inside it
         start = rng.uniform(-0.5, 0.5, size=3)
-        pts = start + rng.uniform(-0.55, 0.55, size=(3 * 16384 + 17, 3))
+        pts = start + rng.uniform(-0.55, 0.55, size=(3 * _SUPPORT_BLOCK + 17, 3))
         pts[1::3, 0] += 5.0
         support = pts[np.linalg.norm(pts - start, axis=1) <= params.radius]
         estimate = start.copy()
@@ -181,6 +186,59 @@ class TestSupportSameBits:
         radius = scenario.meanshift.radius
         for center in points[rng.integers(0, len(points), size=8)]:
             assert self.check(points, center, radius) > 0
+
+
+class TestMeanShiftSameBits:
+    """mean_shift_refine gives the bits of its earlier numpy form."""
+
+    @staticmethod
+    def check(points, start, params, iterations=None):
+        got = mean_shift_refine(points, start, params, iterations)
+        want = reference_mean_shift_refine(points, start, params, iterations)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_seeded_frames(self, rng):
+        for _ in range(40):
+            center = rng.uniform(-30.0, 30.0, size=3)
+            blob = center + rng.normal(scale=rng.choice([0.05, 0.3, 1.0]), size=(300, 3))
+            clutter = center + rng.uniform(-20.0, 20.0, size=(int(rng.integers(0, 20000)), 3))
+            pts = rng.permutation(np.concatenate([blob, clutter]))
+            params = MeanShiftParams(radius=float(rng.choice([0.3, 1.0, 2.5])),
+                                     bandwidth=float(rng.choice([0.05, 1.0, 4.0])))
+            start = center + rng.uniform(-0.4, 0.4, size=3)
+            self.check(pts, start, params, rng.choice([None, 1, params.track_iterations]))
+
+    def test_acquisition_sweep(self, acquisition_sweep, rng):
+        points, scenario = acquisition_sweep
+        for start in points[rng.integers(0, len(points), size=4)] + 0.1:
+            assert self.check(points, start, scenario.meanshift) is not None
+
+    def test_all_weights_underflow(self):
+        # a 0.1 m grid, the start 5 cm from every point: at this bandwidth every
+        # weight of the first pass underflows to 0, and the next passes sit on a point
+        grid = np.stack(np.meshgrid(*[np.arange(-1.0, 1.05, 0.1)] * 3), axis=-1).reshape(-1, 3)
+        params = MeanShiftParams(radius=2.0, bandwidth=1e-7)
+        start = np.array([0.05, 0.05, 0.05])
+        assert not np.exp(-np.sum((grid - start) ** 2, axis=1) / params.bandwidth).any()
+        for iterations in (None, 1, 2):
+            assert np.max(np.abs(self.check(grid, start, params, iterations) - start)) < 0.05
+
+    def test_nan_points(self, rng):
+        pts = rng.normal(scale=0.5, size=(500, 3))
+        pts[rng.integers(0, 500, size=40), rng.integers(0, 3, size=40)] = np.nan
+        assert self.check(pts, np.zeros(3), MeanShiftParams()) is not None
+        pts[:, 1] = np.nan      # no finite point left: nothing to refine on
+        assert self.check(pts, np.zeros(3), MeanShiftParams()) is None
+
+    @pytest.mark.parametrize("n", [_SUPPORT_BLOCK - 1, _SUPPORT_BLOCK, _SUPPORT_BLOCK + 1])
+    def test_block_boundaries(self, rng, n):
+        center = rng.uniform(-1.0, 1.0, size=3)
+        pts = center + rng.uniform(-3.0, 3.0, size=(n, 3))
+        pts[-5:] = center + rng.normal(scale=0.2, size=(5, 3))     # the last block's rows
+        self.check(pts, center, MeanShiftParams())
 
 
 class TestTrackStep:

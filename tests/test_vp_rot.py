@@ -55,8 +55,8 @@ class TestCompleteVd:
             complete_vd((1, 0, 0), v2)
 
     def test_accepted_pairs_give_well_conditioned_matrices(self):
-        # The 10-degree pair check is the only check complete_vd makes; what
-        # it accepts must be unit columns, pairwise non-collinear, far from singular.
+        # On finite, non-zero directions the 10-degree pair check is the only check
+        # complete_vd makes; what it accepts must be unit columns, pairwise non-collinear, far from singular.
         rng = np.random.default_rng(12)
         limit = np.deg2rad(10.0)
         margins = np.concatenate([[1e-12, 1e-9, 1e-6], rng.uniform(0.0, np.pi - 2 * limit, 60)])
@@ -71,6 +71,21 @@ class TestCompleteVd:
                 for i, j in ((0, 1), (0, 2), (1, 2)):
                     assert np.linalg.norm(np.cross(v[:, i], v[:, j])) >= np.sin(limit)
                 assert abs(np.linalg.det(v)) > 0.1
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_direction_raises(self, bad):
+        # an inf entry gave "invalid value encountered in divide", a NaN a NaN matrix
+        for v1, v2 in (((bad, 0.0, 0.0), (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), (0.3, bad, 1.0))):
+            with pytest.raises(ValueError, match="non-zero and finite"):
+                complete_vd(v1, v2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_length_direction_raises(self):
+        for v1, v2 in (((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), (1e-170, 0.0, 0.0))):
+            with pytest.raises(ValueError, match="non-zero and finite"):
+                complete_vd(v1, v2)
 
 
 class TestMatchVds:
@@ -250,6 +265,29 @@ class TestFilterRotation:
         state = RotationFilterState(r if which == "state" else np.eye(3))
         with pytest.raises(ValueError, match="non-finite"):
             filter_rotation(state, r if which == "measured" else np.eye(3), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_time_raises(self, t):
+        # inf was taken as the last time, so every later update raised; NaN raised
+        # "rotation axis must be non-zero and finite"
+        state = RotationFilterState(rotation=np.eye(3), last_time=1.0)
+        with pytest.raises(ValueError, match="time must be finite"):
+            filter_rotation(state, rotation_about_z(0.5), t)
+
+    @pytest.mark.parametrize("field, value", [("max_rate", -1.0), ("max_rate", np.nan),
+                                              ("max_rate", np.inf), ("last_time", np.inf),
+                                              ("last_time", -np.inf), ("last_time", np.nan)])
+    def test_bad_rate_or_time_raises(self, field, value):
+        # max_rate = -1 stepped 0.1 rad away from a 0.5 rad measurement
+        with pytest.raises(ValueError, match="max_rate must be finite"):
+            RotationFilterState(np.eye(3), **{field: value})
+
+    def test_zero_rate_holds_the_rotation(self):
+        # rotation.max_rate_deg = 0 is a valid scenario: the estimate does not move
+        start = rotation_about_z(0.2)
+        out = filter_rotation(RotationFilterState(start, max_rate=0.0), rotation_about_z(0.7), 1.0)
+        assert rotation_angle(start.T @ out.rotation) < 1e-12 and out.last_time == 1.0
 
     def test_requires_increasing_time(self):
         state = RotationFilterState(rotation=np.eye(3), last_time=1.0)
@@ -542,3 +580,48 @@ class TestSameBitsAsReference:
         with pytest.raises(ValueError, match="non-finite"):    # was a NaN angle
             angle_between(nan, (1.0, 0.0, 0.0))
         assert np.isnan(reference_angle_between(nan, (1.0, 0.0, 0.0)))
+
+
+class TestHugeColumns:
+    """Columns of norm 1e150-1e155 give a ValueError or the reference's bits, never a
+    RuntimeWarning: np.matmul warns on an overflow inside it, np.dot on the squares."""
+
+    @staticmethod
+    def reference(fn, *args):
+        with np.errstate(all="ignore"):
+            try:
+                return fn(*args)
+            except ValueError:
+                return None
+
+    @staticmethod
+    def scaled(rng, vds):
+        return vds / np.linalg.norm(vds, axis=0) * 10.0 ** rng.uniform(150.0, 155.0, size=3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_value_error_or_reference_bits(self):
+        rng = np.random.default_rng(35)
+        same = {"match": 0, "complete": 0, "estimate": 0}
+        for n, (vg, vd, prior) in enumerate(vd_cases(36, n=300)):
+            vg = vg if n % 3 == 1 else self.scaled(rng, vg)     # one side huge, or both
+            vd = vd if n % 3 == 0 else self.scaled(rng, vd)
+            want = self.reference(reference_match_vds, vg, vd, prior)
+            try:
+                match = match_vds(vg, vd, prior)
+            except ValueError:
+                pass
+            else:
+                assert want is not None and (match.permutation, match.signs) == want[:2]
+                assert match.residuals.tobytes() == want[2].tobytes()
+                same["match"] += 1
+            for fn, ref, args in ((complete_vd, reference_complete_vd, (vd[:, 0], vd[:, 1])),
+                                  (estimate_rotation, reference_estimate_rotation,
+                                   (vg, vd, rng.permutation(3) * 0.1))):
+                want = self.reference(ref, *args)
+                try:
+                    got = fn(*args)
+                except ValueError:
+                    continue
+                assert want is not None and got.tobytes() == want.tobytes()
+                same["complete" if fn is complete_vd else "estimate"] += 1
+        assert min(same.values()) > 30, same
