@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import _vec
+from .geom import _norm, _vec
 
 _PROJECT_BLOCK = 65536     # points per block when projecting a sweep: 0.5 MB of depths
 
@@ -33,9 +33,9 @@ class ProjectionParams:
         if not 0.0 < self.half_fov < np.pi / 2:
             raise ValueError("half_fov must lie in (0, pi/2)")
         w = _vec(self.view_direction)
-        n = np.linalg.norm(w)
-        if n < 1e-12:
-            raise ValueError("view_direction must be non-zero")
+        n = _norm(w)    # np.linalg.norm's bits; NaN or inf, never a warning, on a non-finite entry
+        if not 1e-12 <= n < np.inf:
+            raise ValueError("view_direction must be non-zero and finite")
         w = w / n
         # Deterministic in-plane basis: seed with whichever world axis is
         # least parallel to the view axis.
@@ -113,8 +113,8 @@ def unproject(pixel, depth: float, params: ProjectionParams) -> np.ndarray:
     n = params.resolution
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("pixel outside image")
-    if depth <= 0.0:
-        raise ValueError("depth must be positive")
+    if not 0.0 < depth < np.inf:    # NaN fails too
+        raise ValueError("depth must be finite and positive")
     f = params.focal
     x = (u + 0.5 - n / 2.0) * depth / f
     y = (v + 0.5 - n / 2.0) * depth / f

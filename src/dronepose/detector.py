@@ -33,12 +33,12 @@ class KernelParams:
     inner_skip_empty: bool = False  # lenient mode: empty inner pixels cost 0
 
     def __post_init__(self):
-        if self.drone_width <= 0.0:
-            raise ValueError("drone_width must be > 0")
+        if not 0.0 < self.drone_width < np.inf:     # NaN fails too
+            raise ValueError("drone_width must be finite and > 0")
         if self.outer_band_px < 1:
             raise ValueError("outer_band_px must be >= 1")
-        if self.depth_epsilon <= 0.0:
-            raise ValueError("depth_epsilon must be > 0")
+        if not 0.0 < self.depth_epsilon < np.inf:
+            raise ValueError("depth_epsilon must be finite and > 0")
         if self.max_inner_px < 1 or self.max_inner_px % 2 == 0:
             raise ValueError("max_inner_px must be odd and >= 1")
 
@@ -110,38 +110,37 @@ def _lower_bounds(crop: np.ndarray, vs: np.ndarray, us: np.ndarray, depths: np.n
                   sizes: np.ndarray, params: KernelParams) -> np.ndarray:
     """A lower bound on every candidate's ``e_inner + e_outer``, vectorized.
 
-    ``vs``, ``us`` index the candidates in ``crop``; every cell outside
-    ``crop`` must be empty. Inner term: each empty cell costs exactly the
-    center depth. Outer term: each non-empty band cell costs at least
-    1/max(epsilon, spread), where the spread bounds |depth - center depth|
-    over the window, read from the depth range of the tiles around it (a
-    max or min in any order, so taken one axis at a time). Counts come from
-    one integral image. The final (1 - 1e-9) factor covers the rounding of
-    the exact sums, whose terms are all >= 0.
+    ``vs``, ``us`` must index each non-zero cell of ``crop`` once (``depths``
+    their values), and all cells outside it must be empty. Inner term: each
+    empty cell costs exactly the center depth. Outer term: each non-empty band
+    cell costs at least 1/max(epsilon, spread), where the spread bounds
+    |depth - center depth| over the window, from the depth ranges of the tiles
+    around it. Counts and ranges read only the candidates: one integral image
+    over the rows and columns holding one, a max or min scattered in any order.
+    The final (1 - 1e-9) factor covers the rounding of the exact sums (terms >= 0).
     """
     h, w = crop.shape
-    occupied = np.zeros((h + 1, w + 1), dtype=np.int32)
-    filled = (crop != 0.0).astype(np.int32)     # rows first: the same integers, cheaper
-    np.cumsum(np.cumsum(filled, axis=1, out=filled), axis=0, out=occupied[1:, 1:])
+    half = (sizes - 1) // 2 + np.array([[0], [params.outer_band_px]])   # inner square; window
+    m = int(half.max()) + 1     # below[m + e]: rows holding a candidate above row edge e
+    sv, su = vs + m, us + m
+    below = np.cumsum(np.bincount(sv + 1, minlength=h + 2 * m) > 0)
+    left = np.cumsum(np.bincount(su + 1, minlength=w + 2 * m) > 0)     # likewise columns
+    stride = int(left[-1]) + 1
+    occupied = np.zeros((int(below[-1]) + 1, stride), dtype=np.int32)
+    occupied.put((below[sv] + 1) * stride + left[su] + 1, 1)
+    occupied = np.cumsum(np.cumsum(occupied, axis=1, out=occupied), axis=0, out=occupied).ravel()
+    r0, r1 = below[sv - half] * stride, below[sv + half + 1] * stride
+    c0, c1 = left[su - half], left[su + half + 1]
+    counts = occupied[r1 + c1] - occupied[r0 + c1] - occupied[r1 + c0] + occupied[r0 + c0]
+    n_inner, n_band = counts[0], counts[1] - counts[0]
 
-    def count(half):
-        r0, r1 = np.clip(vs - half, 0, h), np.clip(vs + half + 1, 0, h)
-        c0, c1 = np.clip(us - half, 0, w), np.clip(us + half + 1, 0, w)
-        return occupied[r1, c1] - occupied[r0, c1] - occupied[r1, c0] + occupied[r0, c0]
-
-    half_in = (sizes - 1) // 2
-    half_out = half_in + params.outer_band_px
-    n_inner = count(half_in)
-    n_band = count(half_out) - n_inner
-
-    rows, cols = -(-h // _TILE), -(-w // _TILE)
-    tiles = np.pad(crop, ((0, rows * _TILE - h), (0, cols * _TILE - w)))
-    tiles = tiles.reshape(rows, _TILE, cols, _TILE)
-    reach = -(-half_out // _TILE)    # tiles around the candidate's tile that hold its window
-    hi = _neighbourhood_stack(tiles.max(axis=1).max(axis=2), int(reach.max()), np.maximum, 0.0)
-    lo = _neighbourhood_stack(tiles.min(axis=1, initial=np.inf, where=tiles != 0.0).min(axis=2),
-                              int(reach.max()), np.minimum, np.inf)
-    tv, tu = vs // _TILE, us // _TILE
+    rows, cols, tv, tu = -(-h // _TILE), -(-w // _TILE), vs // _TILE, us // _TILE
+    hi, lo = np.zeros((rows, cols)), np.full((rows, cols), np.inf)
+    np.maximum.at(hi.ravel(), tv * cols + tu, depths)   # a flat index: ufunc.at's fast path
+    np.minimum.at(lo.ravel(), tv * cols + tu, depths)
+    reach = -(-half[1] // _TILE)    # tiles around the candidate's tile that hold its window
+    hi = _neighbourhood_stack(hi, int(reach.max()), np.maximum, 0.0)
+    lo = _neighbourhood_stack(lo, int(reach.max()), np.minimum, np.inf)
     spread = np.maximum(hi[reach, tv, tu] - depths, depths - lo[reach, tv, tu])
     bound = n_band * (1.0 / np.maximum(params.depth_epsilon, spread))
     if not params.inner_skip_empty:
@@ -172,8 +171,9 @@ def detect(image: DepthImage, params: KernelParams, proj: ProjectionParams) -> D
     crop = data[v0: int(vs.max()) + 1, u0: int(us.max()) + 1]
     cv, cu = vs - v0, us - u0     # candidates in crop coordinates
     bounds = _lower_bounds(crop, cv, cu, depths, sizes, params)
-    padded = np.pad(crop, pad)
-    flat, width = padded.ravel(), padded.shape[1]
+    width = crop.shape[1] + 2 * pad     # the crop grown by pad, from its candidates alone
+    flat = np.zeros((crop.shape[0] + 2 * pad) * width)
+    flat[(cv + pad) * width + cu + pad] = depths
 
     # Batches grow from _FIRST_BATCH; the stop test runs between them. Any
     # candidate a batch scores past the sequential stop has a bound, and so

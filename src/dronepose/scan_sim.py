@@ -31,6 +31,7 @@ _RAY_EPS = 1e-9
 _BOUND_PAD = 1e-6     # relative and absolute (m) growth of bounding spheres
 _FAN_SLACK = 1e-6     # relative and absolute (m) margin of the fan test; rad for planes
 _BLOCK_FIRINGS = 2560  # firings culled together; holds a default vibration frame
+_SIGNS = np.array((-1.0, 1.0))     # the scramble's column signs, gathered by a draw
 
 
 @dataclass
@@ -641,8 +642,7 @@ def observe_vds(camera_pose: Pose, model: IndirectObsModel, rng=None) -> np.ndar
             cols[:, i] = col / math.sqrt(col.dot(col))     # contiguous, as np.linalg.norm reads it
     if model.scramble:
         perm = rng.permutation(3)
-        signs = rng.choice((-1.0, 1.0), size=3)
-        cols = cols[:, perm] * signs[None, :]
+        cols = cols[:, perm] * _SIGNS[rng.integers(0, 2, size=3)]     # rng.choice's bits and draws
     return cols
 
 

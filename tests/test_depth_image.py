@@ -27,6 +27,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ProjectionParams(half_fov=np.pi / 2)
 
+    @pytest.mark.parametrize("direction", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0),
+                                           (0.0, -np.inf, 1.0), (0.0, 0.0, np.nan)])
+    def test_rejects_non_finite_view_direction(self, direction):
+        # NaN built NaN axes without a word; inf raised a divide RuntimeWarning
+        with pytest.raises(ValueError, match="view_direction must be non-zero and finite"):
+            ProjectionParams(view_direction=direction)
+
     def test_default_basis_is_world_axes(self):
         p = ProjectionParams()
         assert np.allclose(p.u_axis, [1, 0, 0])
@@ -219,6 +226,12 @@ class TestUnproject:
             unproject((0, 0), 0.0, params)
         with pytest.raises(ValueError):
             unproject((-1, 0), 1.0, params)
+
+    @pytest.mark.parametrize("depth", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_depth(self, params, depth):
+        # NaN returned a NaN point; inf raised a multiply RuntimeWarning
+        with pytest.raises(ValueError, match="depth must be finite and positive"):
+            unproject((0, 0), depth, params)
 
     def test_round_trip_identity(self, params, rng):
         n = params.resolution

@@ -52,6 +52,20 @@ def outer_term(image, u, v, params, proj):
     return e - e_inner
 
 
+class TestKernelParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_drone_width(self, value):
+        # NaN made detect raise "invalid value encountered in cast"; inf was accepted
+        with pytest.raises(ValueError, match="drone_width must be finite and > 0"):
+            KernelParams(drone_width=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_depth_epsilon(self, value):
+        # NaN gave detect a NaN dissimilarity; inf was accepted
+        with pytest.raises(ValueError, match="depth_epsilon must be finite and > 0"):
+            KernelParams(depth_epsilon=value)
+
+
 class TestInnerSize:
     def test_reference_values(self, proj512):
         params = KernelParams(drone_width=0.5)
@@ -351,6 +365,25 @@ class TestLowerBoundsMatchReference:
         self.assert_same_bits(image, scenario.kernel, scenario.projection)
 
 
+class TestBoundsReadEveryCandidate:
+    """The bounds' counts and tile ranges come from the candidate list: the last
+    candidate in row-major order, as the window's extreme depth, still counts."""
+
+    @pytest.mark.parametrize("extreme", [0.25, 60.0])     # below and above every other depth
+    def test_last_candidate_is_the_extreme(self, proj512, extreme):
+        rng = np.random.default_rng(25)
+        params = KernelParams(drone_width=1.0, outer_band_px=8, depth_epsilon=0.05)
+        for h, w in ((1, 9), (9, 1), (13, 21), (100, 203)):
+            data = boxed_image(rng, 512, int(rng.integers(0, 513 - h)),
+                               int(rng.integers(0, 513 - w)), h, w)
+            vs, us = np.nonzero(data)
+            data[vs[-1], us[-1]] = extreme
+            image = DepthImage(data)
+            _, _, bounds = detector_bounds(image, params, proj512)
+            _, _, expected = detector_bounds(image, params, proj512, reference_lower_bounds)
+            assert bounds.tobytes() == expected.tobytes(), (h, w)
+
+
 def mirrored(rng, n=64):
     # whole-metre depths keep the sums exact, so each pixel ties its mirror twin
     data = np.rint(random_image(rng, n, 300))
@@ -447,15 +480,16 @@ class TestDetectPrune:
 
 
 def test_scoring_memory_is_bounded(cold_start_sweeps):
-    # 2316 candidates are scored exactly here; all their windows at once would
-    # take about 40 MB per temporary. The lower bounds peak at about 3.4 MB,
-    # and the scoring at about 2.1 MB, of which the capped batches take 0.4.
-    points, scenario = cold_start_sweeps[7]
-    image = project(points, scenario.projection)
-    tracemalloc.start()
-    try:
-        detect(image, scenario.kernel, scenario.projection)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # 376, 2316 and 380 candidates are scored exactly here; all their windows at
+    # once would take up to about 40 MB per temporary. The bounds read only the
+    # candidates, so the peak is the padded crop for exact scoring plus the
+    # capped batches (0.4 MB): about 2.9, 2.1 and 2.9 MB.
+    for index, (points, scenario) in sorted(cold_start_sweeps.items()):
+        image = project(points, scenario.projection)
+        tracemalloc.start()
+        try:
+            detect(image, scenario.kernel, scenario.projection)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, (index, peak)
