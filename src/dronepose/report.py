@@ -8,6 +8,7 @@ plus a metrics summary and the resolved scenario echo.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -146,14 +147,24 @@ def record_to_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(cell):
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
+
+
 def record_from_csv(path) -> RunRecord:
     """Rebuild a record from an exported trajectory table.
 
     Timing fields are not stored in the table, so acquisition time and
     per-frame compute times come back absent.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     if not lines or lines[0][1] != CSV_HEADER:
         raise ScenarioError(f"{path}: not a trajectory table (bad header)")
     times, est_p, truth_p, est_r, truth_r, status, flags = [], [], [], [], [], [], []
@@ -162,7 +173,7 @@ def record_from_csv(path) -> RunRecord:
         if len(cells) != 15:
             raise ScenarioError(f"{path}:{lineno}: malformed row {line!r}")
         try:
-            nums = [float(c) for c in cells[:13]]
+            nums = [_finite(c) for c in cells[:13]]
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from None
         if cells[13] not in ("locked", "lost") or cells[14] not in ("0", "1"):

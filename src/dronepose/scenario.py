@@ -352,7 +352,7 @@ def load_scenario(path, overrides=None, seed=None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     raw = _collect_raw(text, str(path))
     seed_override = {} if seed is None else {"seed": seed}

@@ -16,6 +16,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP_OMEGA = 11.4 * 2.0 * np.pi / 60.0    # rad/s, the scenario default of 11.4 rpm
 
 
+def pytest_collection_modifyitems(items):
+    """Each ``exact`` mark names the one stage whose bits it pins."""
+    for item in items:
+        for mark in item.iter_markers("exact"):
+            if mark.kwargs or len(mark.args) != 1 or not isinstance(mark.args[0], str):
+                raise pytest.UsageError(f"{item.nodeid}: write exact(\"<stage>\"), "
+                                        "as in exact(\"tracker.support\")")
+
+
 def perfbench_workloads():
     """``perfbench/workloads.py``, loaded once as the module ``perfbench_workloads``."""
     workloads = sys.modules.get("perfbench_workloads")

@@ -74,6 +74,7 @@ def rotation_scenario_text(seed, yaw_offset_deg, range_noise, vd_noise_deg,
 
 # --- criterion 1: detector oracle equivalence -------------------------------
 
+@pytest.mark.exact("detector.detect")
 def test_criterion_1_detector_oracle_equivalence():
     rng = np.random.default_rng(1001)
     start = time.perf_counter()

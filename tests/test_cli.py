@@ -133,7 +133,8 @@ class TestMetricsCommand:
         bad.write_text("nonsense\n")
         assert main(["metrics", "--record", str(bad)]) == 1
 
-    @pytest.mark.parametrize("column, cell", [(3, "abc"), (13, "tracking"), (14, "yes")])
+    @pytest.mark.parametrize("column, cell", [(3, "abc"), (13, "tracking"), (14, "yes"),
+                                              (7, "nan"), (11, "inf"), (1, "nan"), (0, "nan")])
     def test_bad_cell_exits_one_naming_the_line(self, column, cell, tmp_path):
         row = ["0.5"] + ["1.0"] * 12 + ["locked", "0"]
         bad = list(row)
@@ -193,6 +194,19 @@ class TestConsoleEntry:
         key = override.partition("=")[0]
         assert f"error: {key}: cannot parse" in result.stderr
         assert "must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, flag", [("run", "--scenario"), ("metrics", "--record")],
+                             ids=["run", "metrics"])
+    def test_undecodable_file_exits_one(self, command, flag, tmp_path):
+        path = tmp_path / "not_utf8"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        result = subprocess.run(
+            [sys.executable, "-m", "dronepose.cli", command, flag, str(path), *out],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: ")
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("seed", ["3", "4"])

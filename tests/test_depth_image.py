@@ -95,6 +95,7 @@ class TestProject:
         img = project(pts, params)
         assert np.count_nonzero(img.data) <= len(pts)
 
+    @pytest.mark.exact("depth_image.project")
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0)])
     def test_block_wise_matches_whole_array(self, acquisition_sweep, view):
         # a real sweep spans at least three projection blocks; it holds points
@@ -115,6 +116,7 @@ class TestProject:
         whole[~np.isfinite(whole)] = 0.0
         assert np.array_equal(project(points, p).data, whole)
 
+    @pytest.mark.exact("depth_image.project")
     @pytest.mark.parametrize("nearest", [0, 1, 2], ids=["first_block", "middle_block", "last_block"])
     def test_pixel_minimum_across_blocks(self, params, nearest):
         # one pixel gets a point from each of three blocks, the others stay empty;
@@ -129,6 +131,7 @@ class TestProject:
         assert img.data[n // 2, n // 2] == 10.0
         assert np.count_nonzero(img.data) == 1
 
+    @pytest.mark.exact("depth_image.project")
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
     def test_memory_layout_does_not_change_the_image(self, acquisition_sweep, view):
         # the block matmuls give other bits on another layout: an F-ordered
@@ -144,6 +147,7 @@ class TestProject:
             assert not layout.flags.c_contiguous
             assert np.array_equal(project(layout, p).data, expected)
 
+    @pytest.mark.exact("depth_image.project")
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
     def test_front_is_the_rows_with_depth_above_zero(self, acquisition_sweep, view):
         # in input order, in the field of view or not

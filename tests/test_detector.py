@@ -88,6 +88,7 @@ class TestInnerSize:
         with np.errstate(over="ignore"):     # w*f/d overflows to inf
             assert _inner_sizes(np.array([1e-310]), params, proj512).tolist() == [5]
 
+    @pytest.mark.exact("detector.inner_size")
     @pytest.mark.parametrize("max_inner", [5, 101])
     def test_vectorized_matches_scalar(self, proj512, max_inner):
         # depths where w*f/d/2 rounds to an exact integer, the depths a few
@@ -163,6 +164,7 @@ class TestDetect:
         assert det.dissimilarity == 0.0
         assert det.depth == 10.0
 
+    @pytest.mark.exact("detector.detect")
     def test_drone_beats_wall_at_same_depth(self, proj64, kernel64):
         cells = {}
         paint_square(cells, 16, 16, 1, 20.0)   # drone-sized blob (inner size 1 at 20 m... paint 3x3)
@@ -176,6 +178,7 @@ class TestDetect:
         assert det.dissimilarity == oracle_e
         assert 15 <= det.pixel[0] <= 17 and 15 <= det.pixel[1] <= 17
 
+    @pytest.mark.exact("detector.detect")
     def test_drone_beats_sparse_tree(self, proj64, kernel64):
         cells = {}
         paint_square(cells, 20, 20, 1, 10.0)
@@ -219,6 +222,7 @@ class TestDetect:
             assert det.pixel == (30, 30)
             assert det.dissimilarity == 0.0
 
+    @pytest.mark.exact("detector.detect")
     def test_matches_oracle_on_random_images(self, proj64, rng):
         for _ in range(15):
             n_pts = int(rng.integers(10, 120))
@@ -235,6 +239,7 @@ class TestDetect:
             assert det.pixel == oracle_pixel
             assert det.dissimilarity == oracle_e
 
+    @pytest.mark.exact("detector.detect")
     def test_matches_oracle_in_lenient_mode(self, rng):
         for _ in range(30):
             n = int(rng.integers(32, 49)) * 2
@@ -282,6 +287,7 @@ def random_image(rng, n, n_pts, low=2.0, high=40.0):
     return data
 
 
+@pytest.mark.exact("detector.lower_bounds")
 class TestLowerBounds:
     def assert_below_exact(self, image, params, proj):
         vs, us, bounds = detector_bounds(image, params, proj)
@@ -327,6 +333,7 @@ def boxed_image(rng, n, v0, u0, h, w):
     return data
 
 
+@pytest.mark.exact("detector.lower_bounds")
 class TestLowerBoundsMatchReference:
     """``_lower_bounds`` and the candidate scan keep the bits of their earlier forms."""
 
@@ -365,6 +372,7 @@ class TestLowerBoundsMatchReference:
         self.assert_same_bits(image, scenario.kernel, scenario.projection)
 
 
+@pytest.mark.exact("detector.lower_bounds")
 class TestBoundsReadEveryCandidate:
     """The bounds' counts and tile ranges come from the candidate list: the last
     candidate in row-major order, as the window's extreme depth, still counts."""
@@ -405,6 +413,7 @@ def single(rng, n=64):
     return data
 
 
+@pytest.mark.exact("detector.detect")
 class TestDetectPrune:
     """``detect`` against the oracle's exhaustive argmin on inputs that stress the prune."""
 
@@ -479,6 +488,7 @@ class TestDetectPrune:
         assert len(np.unique(_inner_sizes(image.data[vs, us][scored], params, proj))) > 1
 
 
+@pytest.mark.exact("detector.detect")
 def test_scoring_memory_is_bounded(cold_start_sweeps):
     # 376, 2316 and 380 candidates are scored exactly here; all their windows at
     # once would take up to about 40 MB per temporary. The bounds read only the

@@ -119,6 +119,7 @@ class TestRotationAligningXY:
             with pytest.raises(ValueError, match="finite"):
                 rotation_aligning_xy(x, y)
 
+    @pytest.mark.exact("geom.rotation_aligning_xy")
     def test_matches_reference(self, rng):
         # the products on Python floats are numpy's scalar products, bit for bit
         for scale in (1e-3, 1.0, 1e3, 1e150):
@@ -192,6 +193,7 @@ class TestEuler:
             euler_xyz(r)
 
 
+@pytest.mark.exact("geom.rotation_about_axis")
 class TestRodrigues:
     """``rotation_about_axis`` gives ``reference_rotation_about_axis``'s bits, and it
     and ``rotation_exp`` raise on a non-finite axis or angle."""
@@ -245,6 +247,7 @@ class TestNormOverflow:
             rotation_exp(v)
         assert _norm(np.array(v)) == np.inf
 
+    @pytest.mark.exact("geom.norm")
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("v", large)
     def test_finite_squared_norm_keeps_its_bits(self, v, rng):
@@ -285,6 +288,7 @@ class TestLogExp:
                 fn(r)
 
 
+@pytest.mark.exact("geom.trace_skew")
 class TestTraceSkewSameBits:
     def test_matches_np_trace(self, rng):
         # mixed magnitudes, so that summing the diagonal in another order shows
@@ -372,6 +376,7 @@ def is_rotation_cases(rng):
     return cases + [("shape", m) for m in shapes]
 
 
+@pytest.mark.exact("geom.is_rotation")
 class TestIsRotationMatchesReference:
     """``is_rotation`` on nine floats gives ``reference_is_rotation``'s verdict (matmul
     and ``np.linalg.det``) at both tolerances the library uses: the default and 1e-6."""

@@ -29,6 +29,8 @@ from dronepose.report import compute_metrics, export
 from dronepose.scenario import load_scenario, parse_scenario
 from conftest import ROOT, perfbench_workloads
 
+pytestmark = pytest.mark.exact("pipeline.trajectory")
+
 SCENARIOS = ROOT / "scenarios"
 
 workloads = perfbench_workloads()

@@ -151,6 +151,7 @@ def edge_case_rays(rng, scene, shift=np.zeros(3)):
     return np.concatenate(origins), np.concatenate(dirs)
 
 
+@pytest.mark.exact("scan_sim.nearest_hit")
 class TestBroadPhase:
     """Culled nearest_hit returns the same bits as the all-pairs cast."""
 
@@ -385,6 +386,7 @@ FAN_SPREADS = {"ray": 0.0, "lidar": np.deg2rad(15.0), "wide": 1.2,
                   for span in (15, 80, 89, 91, 179, 200, 400)}}
 
 
+@pytest.mark.exact("scan_sim.fan_candidates")
 class TestFanCull:
     """The fan-level broad phase drops no ray that the per-ray test keeps."""
 
@@ -649,6 +651,7 @@ ROTATION_TIMES = {
 }
 
 
+@pytest.mark.exact("scan_sim.rotation_at")
 class TestRotationsAtMatchesReference:
     """The single-time query ``rotation_at`` gives the reference's bits at each
     time: cached segment terms against logging each segment per call."""
@@ -670,6 +673,7 @@ def rotation_trajectory(kind):
     return TrajectorySpec(np.arange(len(rots)) * 2.5, np.zeros((len(rots), 3)), rots)
 
 
+@pytest.mark.exact("scan_sim.rotation_rows")
 class TestRotationRows:
     """``rotation_rows`` gives the reference's rotations entry by entry, and
     floats on a constant segment."""
@@ -709,6 +713,7 @@ def layouts(a):
             "rows": np.ascontiguousarray(a.T).T}
 
 
+@pytest.mark.exact("scan_sim.nearest_hit")
 class TestRayLayouts:
     """``nearest_hit`` and the slab test give the same bits for every memory
     layout of their (n, 3) inputs."""
@@ -816,6 +821,7 @@ def canopy_scene():
     return Scene(prims, seed=11)
 
 
+@pytest.mark.exact("scan_sim.cast")
 class TestCastMatchesReference:
     """The cast returns the reference's points bit for bit, RNG draws included."""
 
@@ -878,6 +884,7 @@ def tilted_world():
     return scene, Trajectories(drone=CAST_DRONES["moving"](), vehicle=vehicle)
 
 
+@pytest.mark.exact("scan_sim.cast")
 class TestCastBeamLayouts:
     """The culled cast matches the reference for every fan width."""
 
@@ -903,6 +910,7 @@ class TestCastBeamLayouts:
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.exact("scan_sim.cast")
 class TestCastBlockEdges:
     """Casts whose firings fill blocks of ``_BLOCK_FIRINGS`` exactly, fall one
     short or spill one over, and a sweep with a block that keeps no firing,
@@ -988,6 +996,7 @@ class TestBenchmarkHooks:
             assert all(n_origins == n_dirs for n_origins, n_dirs in calls)
             assert sum(n for n, _ in calls) == sum(kept) * len(lidar.beam_elevations)
 
+    @pytest.mark.exact("scan_sim.nearest_hit")
     def test_single_ray_call(self):
         rng = np.random.default_rng(20866)
         scene = cast_scene()
@@ -1020,6 +1029,7 @@ def pose_times(knots):
             knots[0] - 2.0, knots[-1] + 3.0, -1e6, 1e6, *inside]
 
 
+@pytest.mark.exact("scan_sim.pose_at")
 class TestPoseAtMatchesArrayPath:
     """``pose_at``, ``rotation_at`` and ``position_at`` take one time without the array
     path, and give its bits: ``rotation_rows([t])`` and ``positions_at([t])[0]``."""
@@ -1123,6 +1133,7 @@ def seeded_poses(n=200, seed=2024):
     return [Pose(r, rng.normal(scale=30.0, size=3)) for r in rots + axis_aligned_rotations()]
 
 
+@pytest.mark.exact("scan_sim.observe")
 class TestObserveVdsMatchesReference:
     """The VD and ego observations give ``reference_observe_vds``'s and
     ``reference_observe_ego_direction``'s bits and leave the RNG where they do."""

@@ -88,6 +88,7 @@ class TestMeanShiftRefine:
                                     params.iterations)
             assert np.max(np.abs(out - ref)) < 1e-12
 
+    @pytest.mark.exact("tracker.mean_shift")
     def test_block_wise_support_matches_whole_array(self, params, rng):
         # sweep-sized input spanning several support blocks, partial last block;
         # every third point lies outside the support, the rest inside it
@@ -133,6 +134,7 @@ def at_radius_edge(rng, center, radius, n):
     return pts[(np.sqrt(s) <= radius) != (s <= radius * radius)]
 
 
+@pytest.mark.exact("tracker.support")
 class TestSupportSameBits:
     """The support selection keeps the rows the row-wise norm test keeps, in order."""
 
@@ -188,6 +190,7 @@ class TestSupportSameBits:
             assert self.check(points, center, radius) > 0
 
 
+@pytest.mark.exact("tracker.mean_shift")
 class TestMeanShiftSameBits:
     """mean_shift_refine gives the bits of its earlier numpy form."""
 
@@ -354,6 +357,7 @@ class TestAcquire:
         assert acquire(frame, proj, kernel, MeanShiftParams()).status == "locked"
 
 
+@pytest.mark.exact("tracker.acquire")
 class TestAcquireMatchesReference:
     """``acquire`` locks on the bits that refining on the whole sweep gives.
 

@@ -488,6 +488,7 @@ def vd_cases(seed, n=400):
         yield vg, vd, prior
 
 
+@pytest.mark.exact("vp_rot.rotation")
 class TestSameBitsAsReference:
     """The 3x3 rotation work gives the same bits as before its numpy calls were cut."""
 
@@ -598,6 +599,7 @@ class TestHugeColumns:
     def scaled(rng, vds):
         return vds / np.linalg.norm(vds, axis=0) * 10.0 ** rng.uniform(150.0, 155.0, size=3)
 
+    @pytest.mark.exact("vp_rot.rotation")
     @pytest.mark.filterwarnings("error")
     def test_value_error_or_reference_bits(self):
         rng = np.random.default_rng(35)
