@@ -54,8 +54,8 @@ class ProjectionParams:
 
 @dataclass
 class DepthImage:
-    """N x N planar depths in meters, 0 where no return landed; ``front``: the rows
-    of ``project``'s points in front of the image plane, None if built elsewhere."""
+    """N x N planar depths in meters, 0 where no return landed; ``front``: ``project``'s
+    points in front of the image plane, (m, 3) in input order, None if built elsewhere."""
 
     data: np.ndarray
     front: np.ndarray | None = None
@@ -70,8 +70,8 @@ class DepthImage:
             raise ValueError("depth values must be finite and >= 0")
 
 
-def _project_block(blk, start, params: ProjectionParams):
-    """(rows in front + start, flat pixels, depths) of one block; its temporaries go on return."""
+def _project_block(blk, params: ProjectionParams):
+    """(rows in front, flat pixels, depths) of one block; its temporaries go on return."""
     n, f = params.resolution, params.focal
     z = blk @ params.w_axis
     if not np.isfinite(z).all():    # as it is for any non-finite point
@@ -81,7 +81,7 @@ def _project_block(blk, start, params: ProjectionParams):
     u = np.floor(f * (blk @ params.u_axis) / z + n / 2.0)
     v = np.floor(f * (blk @ params.v_axis) / z + n / 2.0)
     inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-    return front + start, (v[inside] * n + u[inside]).astype(np.intp), z[inside]  # exact in floats
+    return blk, (v[inside] * n + u[inside]).astype(np.intp), z[inside]  # exact in floats
 
 
 def project(points, params: ProjectionParams) -> DepthImage:
@@ -99,7 +99,7 @@ def project(points, params: ProjectionParams) -> DepthImage:
     # which must not reach the cast. No points make one empty block.
     with np.errstate(over="ignore", invalid="ignore"):
         front, cells, depths = map(np.concatenate, zip(*[
-            _project_block(pts[start:start + _PROJECT_BLOCK], start, params)
+            _project_block(pts[start:start + _PROJECT_BLOCK], params)
             for start in range(0, max(len(pts), 1), _PROJECT_BLOCK)]))
     depth = np.zeros(params.resolution ** 2)    # depths are finite, > 0: inf only where one lands
     depth[cells] = np.inf

@@ -93,12 +93,16 @@ def _inner_sizes(depths: np.ndarray, params: KernelParams, proj: ProjectionParam
 
 def _neighbourhood_stack(grid: np.ndarray, reach: int, op, fill: float) -> np.ndarray:
     """``[r]`` is ``op`` over the (2r+1)^2 cells around each cell, r = 0..reach."""
-    out = [grid]
-    for _ in range(reach):
-        g = np.pad(out[-1], 1, constant_values=fill)
-        g = op(op(g[:-2], g[1:-1]), g[2:])
-        out.append(op(op(g[:, :-2], g[:, 1:-1]), g[:, 2:]))
-    return np.stack(out)
+    h, w = grid.shape
+    out = np.empty((reach + 1, h, w))
+    out[0] = grid
+    g = np.full((h + 2, w + 2), fill)   # level r inside a border of fill, set once
+    rows = np.empty((h, w + 2))
+    for r in range(reach):
+        g[1:-1, 1:-1] = out[r]
+        op(op(g[:-2], g[1:-1], out=rows), g[2:], out=rows)
+        op(op(rows[:, :-2], rows[:, 1:-1], out=out[r + 1]), rows[:, 2:], out=out[r + 1])
+    return out
 
 
 def _candidates(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -158,7 +158,8 @@ def record_from_csv(path) -> RunRecord:
     """Rebuild a record from an exported trajectory table.
 
     Timing fields are not stored in the table, so acquisition time and
-    per-frame compute times come back absent.
+    per-frame compute times come back absent. Raises ScenarioError on a bad
+    row, and on a table whose position RMSE would overflow.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -179,6 +180,12 @@ def record_from_csv(path) -> RunRecord:
         if cells[13] not in ("locked", "lost") or cells[14] not in ("0", "1"):
             raise ScenarioError(f"{path}:{lineno}: expected status locked/lost and flag 0/1, "
                                 f"not {cells[13]!r}, {cells[14]!r}")
+        for k, axis in enumerate("xyz", start=1) if cells[13] == "locked" else ():
+            resid = nums[k] - nums[k + 3]   # compute_metrics' bits; Python floats never warn
+            if not math.isfinite(resid * resid):
+                raise ScenarioError(f"{path}:{lineno}: est_{axis} {cells[k]!r} against "
+                                    f"truth_{axis} {cells[k + 3]!r}: the squared position "
+                                    "residual overflows")
         times.append(nums[0])
         est_p.append(nums[1:4])
         truth_p.append(nums[4:7])
@@ -187,10 +194,18 @@ def record_from_csv(path) -> RunRecord:
         status.append(cells[13])
         flags.append(cells[14] == "1")
     n = len(times)
+    est_p, truth_p = np.asarray(est_p).reshape(n, 3), np.asarray(truth_p).reshape(n, 3)
+    locked = np.array([s == "locked" for s in status], dtype=bool)
+    with np.errstate(over="ignore"):    # the sum that compute_metrics' mean takes
+        sums = np.add.reduce((est_p[locked] - truth_p[locked]) ** 2, axis=0)
+    if not np.isfinite(sums).all():
+        axis = "xyz"[int(np.argmin(np.isfinite(sums)))]
+        raise ScenarioError(f"{path}: the squared {axis} position residuals of the "
+                            "locked rows overflow their sum")
     return RunRecord(
         times=np.asarray(times),
-        est_positions=np.asarray(est_p).reshape(n, 3),
-        truth_positions=np.asarray(truth_p).reshape(n, 3),
+        est_positions=est_p,
+        truth_positions=truth_p,
         est_rotations=np.asarray(est_r).reshape(n, 3, 3),
         truth_rotations=np.asarray(truth_r).reshape(n, 3, 3),
         status=status,

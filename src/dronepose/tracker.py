@@ -126,7 +126,6 @@ def acquire(frame, proj: ProjectionParams, kernel: KernelParams,
     detection = detect(image := project(frame.points, proj), kernel, proj)
     if detection is None:
         return None
-    deep = detection.depth > 2.0 * params.radius
-    points = np.take(frame.points, image.front, axis=0) if deep else frame.points
+    points = image.front if detection.depth > 2.0 * params.radius else frame.points
     position = mean_shift_refine(points, detection.position, params)
     return None if position is None else TrackState(position=position)

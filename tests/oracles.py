@@ -29,8 +29,10 @@ The library must give their bits.
 its passes over the whole crop were reordered: the integral image summed
 along columns first, the tile maxima over both axes at once and the tile
 minima over an ``np.where`` copy with empty cells set to inf. Only the
-neighbourhood stack and the tile size are shared with the library. The
-bounds must keep their bits.
+tile size is shared with the library. Its neighbourhood stack,
+``reference_neighbourhood_stack``, pads a fresh copy of each level with the
+fill value, as the library did before it bordered one working grid once.
+The bounds and the stack must keep their bits.
 
 The cast oracle is the simulator's ray-casting loop as it was before its
 per-block work was cut: one ``rotation_log`` per trajectory segment and
@@ -49,7 +51,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dronepose.depth_image import project
-from dronepose.detector import _TILE, _neighbourhood_stack, detect
+from dronepose.detector import _TILE, detect
 from dronepose.geom import Pose, rotation_about_z, rotation_exp, rotation_log
 from dronepose.scan_sim import _BLOCK_FIRINGS, _RAY_EPS, ScanFrame, _ray_rect_z
 from dronepose.tracker import mean_shift_refine
@@ -99,6 +101,16 @@ def oracle_scores(data, v, u, params, focal):
     return e_inner + e_outer, e_inner
 
 
+def reference_neighbourhood_stack(grid, reach, op, fill):
+    """``detector._neighbourhood_stack`` in its ``np.pad``-per-level form."""
+    out = [grid]
+    for _ in range(reach):
+        g = np.pad(out[-1], 1, constant_values=fill)
+        g = op(op(g[:-2], g[1:-1]), g[2:])
+        out.append(op(op(g[:, :-2], g[:, 1:-1]), g[:, 2:]))
+    return np.stack(out)
+
+
 def reference_lower_bounds(crop, vs, us, depths, sizes, params):
     """``detector._lower_bounds`` in its column-first, two-axis, ``np.where`` form."""
     h, w = crop.shape
@@ -119,9 +131,9 @@ def reference_lower_bounds(crop, vs, us, depths, sizes, params):
     tiles = np.pad(crop, ((0, rows * _TILE - h), (0, cols * _TILE - w)))
     tiles = tiles.reshape(rows, _TILE, cols, _TILE)
     reach = -(-half_out // _TILE)
-    hi = _neighbourhood_stack(tiles.max(axis=(1, 3)), int(reach.max()), np.maximum, 0.0)
-    lo = _neighbourhood_stack(np.where(tiles == 0.0, np.inf, tiles).min(axis=(1, 3)),
-                              int(reach.max()), np.minimum, np.inf)
+    hi = reference_neighbourhood_stack(tiles.max(axis=(1, 3)), int(reach.max()), np.maximum, 0.0)
+    lo = reference_neighbourhood_stack(np.where(tiles == 0.0, np.inf, tiles).min(axis=(1, 3)),
+                                       int(reach.max()), np.minimum, np.inf)
     tv, tu = vs // _TILE, us // _TILE
     spread = np.maximum(hi[reach, tv, tu] - depths, depths - lo[reach, tv, tu])
     bound = n_band * (1.0 / np.maximum(params.depth_epsilon, spread))

@@ -134,7 +134,8 @@ class TestMetricsCommand:
         assert main(["metrics", "--record", str(bad)]) == 1
 
     @pytest.mark.parametrize("column, cell", [(3, "abc"), (13, "tracking"), (14, "yes"),
-                                              (7, "nan"), (11, "inf"), (1, "nan"), (0, "nan")])
+                                              (7, "nan"), (11, "inf"), (1, "nan"), (0, "nan"),
+                                              (1, "1e308"), (4, "-1e308")])
     def test_bad_cell_exits_one_naming_the_line(self, column, cell, tmp_path):
         row = ["0.5"] + ["1.0"] * 12 + ["locked", "0"]
         bad = list(row)
@@ -148,6 +149,23 @@ class TestMetricsCommand:
         assert result.stderr.startswith(f"error: {path}:3: ")
         assert repr(cell) in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("rows, code", [(1, 0), (2, 1)])
+    def test_sum_of_squares_that_overflows_exits_one(self, rows, code, tmp_path):
+        # each row's squared residual is 1e308; two of them overflow the sum,
+        # and no RuntimeWarning may escape on the way
+        row = ",".join(["0.5", "1e154"] + ["0.0"] * 11 + ["locked", "0"])
+        path = tmp_path / "trajectory.csv"
+        path.write_text("\n".join([CSV_HEADER] + [row] * rows) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dronepose.cli",
+             "metrics", "--record", str(path)], capture_output=True, text=True, timeout=60)
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr == (f"error: {path}: the squared x position residuals "
+                                     "of the locked rows overflow their sum\n")
+        else:
+            assert "pos_rmse_x = 1e+154\n" in result.stdout and result.stderr == ""
 
 
 class TestSweepCommand:

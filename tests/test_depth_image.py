@@ -139,13 +139,15 @@ class TestProject:
         points, scenario = acquisition_sweep
         p = ProjectionParams(resolution=scenario.projection.resolution,
                              half_fov=scenario.projection.half_fov, view_direction=view)
-        expected = project(points, p).data
-        assert np.count_nonzero(expected) > 5000
+        expected = project(points, p)
+        assert np.count_nonzero(expected.data) > 5000
         wide = np.zeros((len(points), 7))
         wide[:, 1:6:2] = points
         for layout in (points.copy(order="F"), wide[:, 1:6:2], wide[:, 1:6:2].T.T):
             assert not layout.flags.c_contiguous
-            assert np.array_equal(project(layout, p).data, expected)
+            image = project(layout, p)
+            assert np.array_equal(image.data, expected.data)
+            assert image.front.flags.c_contiguous and np.array_equal(image.front, expected.front)
 
     @pytest.mark.exact("depth_image.project")
     @pytest.mark.parametrize("view", [(0.0, 0.0, 1.0), (0.3, -0.1, 1.0), (-0.5, 0.2, 0.6)])
@@ -155,9 +157,10 @@ class TestProject:
         p = ProjectionParams(resolution=scenario.projection.resolution,
                              half_fov=scenario.projection.half_fov, view_direction=view)
         front = project(points, p).front
-        want = np.flatnonzero(points @ p.w_axis > 0.0)
+        want = points[points @ p.w_axis > 0.0]
         assert 0 < len(want) < len(points)
-        assert front.dtype == np.intp and np.array_equal(front, want)
+        assert front.dtype == float and front.flags.c_contiguous
+        assert front.shape == want.shape and front.tobytes() == want.tobytes()
 
     def test_front_across_block_edges(self, params):
         # rows on either side of each block edge, on the plane (z = 0 or -0),
@@ -170,13 +173,14 @@ class TestProject:
         pts[2 * _PROJECT_BLOCK, 2] = -0.0
         pts[2 * _PROJECT_BLOCK - 1] = [1e3, 0.0, 1.0]        # in front, outside the image
         image = project(pts, params)
-        assert np.array_equal(image.front, sorted(rows + [2 * _PROJECT_BLOCK - 1]))
+        assert image.front.flags.c_contiguous
+        assert np.array_equal(image.front, pts[sorted(rows + [2 * _PROJECT_BLOCK - 1])])
         n = params.resolution       # the on-axis rows share the centre pixel
         assert image.data[n // 2, n // 2] == 5e-324 and np.count_nonzero(image.data) == 1
 
     def test_front_of_no_points_and_of_an_image_built_elsewhere(self, params):
         front = project(np.empty((0, 3)), params).front
-        assert front.dtype == np.intp and len(front) == 0
+        assert front.dtype == float and front.shape == (0, 3)
         assert DepthImage(np.zeros((64, 64))).front is None
 
     def test_c_ordered_points_are_not_copied(self, acquisition_sweep):

@@ -10,9 +10,16 @@ from dronepose.detector import (
     _candidates,
     _inner_sizes,
     _lower_bounds,
+    _neighbourhood_stack,
     detect,
 )
-from oracles import oracle_detect, oracle_inner_size, oracle_scores, reference_lower_bounds
+from oracles import (
+    oracle_detect,
+    oracle_inner_size,
+    oracle_scores,
+    reference_lower_bounds,
+    reference_neighbourhood_stack,
+)
 
 
 @pytest.fixture
@@ -390,6 +397,23 @@ class TestBoundsReadEveryCandidate:
             _, _, bounds = detector_bounds(image, params, proj512)
             _, _, expected = detector_bounds(image, params, proj512, reference_lower_bounds)
             assert bounds.tobytes() == expected.tobytes(), (h, w)
+
+
+@pytest.mark.exact("detector.lower_bounds")
+@pytest.mark.parametrize("empty", [0.5, 1.0], ids=["half_fill", "fill_only"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (5, 3), (13, 21), (64, 64)],
+                         ids=["1x1", "1xk", "kx1", "5x3", "13x21", "64x64"])
+@pytest.mark.parametrize("op, fill", [(np.maximum, 0.0), (np.minimum, np.inf)], ids=["max", "min"])
+def test_neighbourhood_stack_matches_reference(op, fill, shape, empty):
+    # the tile stacks keep the bits of the padded-copy form; cells past the
+    # grid's edge act as fill, and every cell of a 1x1 or 1xk grid reads some
+    grid = np.random.default_rng(shape[0] * 100 + shape[1]).uniform(0.5, 40.0, shape)
+    grid[np.random.default_rng(7).random(shape) < empty] = fill
+    for reach in range(5):
+        stack = _neighbourhood_stack(grid, reach, op, fill)
+        expected = reference_neighbourhood_stack(grid, reach, op, fill)
+        assert stack.shape == expected.shape == (reach + 1, *shape)
+        assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes(), reach
 
 
 def mirrored(rng, n=64):

@@ -421,5 +421,5 @@ class TestAcquireMatchesReference:
         detection = detect(image, kernel, proj)
         assert detection.depth <= 2.0 * params.radius
         # the premise: the rows in front alone would lock elsewhere
-        front_only = mean_shift_refine(points[image.front], detection.position, params)
+        front_only = mean_shift_refine(image.front, detection.position, params)
         assert not np.array_equal(front_only, state.position)
