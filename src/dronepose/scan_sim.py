@@ -58,8 +58,10 @@ class ScenePrimitive:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
         self.center = _vec(self.center)
         self.dimensions = _vec(self.dimensions)
-        if np.any(self.dimensions <= 0.0):
-            raise ValueError("primitive dimensions must be > 0")
+        if not all(map(math.isfinite, [*self.center.ravel().tolist(), self.scatter_radius])):
+            raise ValueError("primitive center and scatter_radius must be finite")
+        if not all(0.0 < d < math.inf for d in self.dimensions.ravel().tolist()):   # not NaN
+            raise ValueError("primitive dimensions must be finite and > 0")
         if self.kind == "sparse_blob":
             if self.count < 1:
                 raise ValueError("sparse_blob count must be >= 1")
@@ -74,8 +76,8 @@ class DroneModel:
     width: float = 0.5
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("drone width must be > 0")
+        if not 0.0 < self.width < math.inf:     # False on NaN
+            raise ValueError("drone width must be finite and > 0")
 
 
 @dataclass
@@ -91,12 +93,15 @@ class LidarModel:
         self.beam_elevations = np.atleast_1d(_vec(self.beam_elevations))
         if len(self.beam_elevations) < 2:
             raise ValueError("need at least 2 beams")
-        if self.azimuth_step <= 0.0:
-            raise ValueError("azimuth_step must be > 0")
-        if self.range_noise < 0.0:
-            raise ValueError("range_noise must be >= 0")
-        if self.max_range <= 0.0 or self.points_per_second <= 0.0:
-            raise ValueError("max_range and points_per_second must be > 0")
+        if not np.isfinite(self.beam_elevations).all():
+            raise ValueError("beam elevations must be finite")
+        # Each comparison is False on NaN.
+        if not 0.0 < self.azimuth_step < math.inf:
+            raise ValueError("azimuth_step must be finite and > 0")
+        if not 0.0 <= self.range_noise < math.inf:
+            raise ValueError("range_noise must be finite and >= 0")
+        if not (0.0 < self.max_range < math.inf and 0.0 < self.points_per_second < math.inf):
+            raise ValueError("max_range and points_per_second must be finite and > 0")
 
     @property
     def firing_interval(self) -> float:
@@ -134,6 +139,9 @@ class TrajectorySpec:
         self.rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
         if len(self.times) < 2:
             raise ValueError("trajectory needs at least 2 waypoints")
+        if not all(map(math.isfinite, [*self.times.ravel().tolist(),
+                                       *self.positions.ravel().tolist()])):
+            raise ValueError("waypoint times and positions must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
         if len(self.times) != len(self.positions) or len(self.times) != len(self.rotations):
@@ -145,11 +153,26 @@ class TrajectorySpec:
         # of the relative rotation's axis-angle, for Rodrigues' formula.
         self._segments = [_segment_terms(r0, r1)
                           for r0, r1 in zip(self.rotations[:-1], self.rotations[1:])]
+        # Per segment: True when np.interp gives its start's bits at every time on it:
+        # the same bits at both ends, none -0.0 (+0.0 between the knots of a -0.0,
+        # -0.0 at them), which p + 0.0 alone turns into +0.0.
+        self._still = [p0.tobytes() == p1.tobytes() == (p0 + 0.0).tobytes()
+                       for p0, p1 in zip(self.positions[:-1], self.positions[1:])]
 
     def positions_at(self, ts) -> np.ndarray:
         """(n, 3) positions at ``ts``, the transpose of C-ordered (3, n) per-axis rows."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return np.array([np.interp(ts, self.times, self.positions[:, i]) for i in range(3)]).T
+
+    def position_rows(self, ts) -> np.ndarray:
+        """``positions_at(ts)`` for non-decreasing ``ts``, or its one shared (1, 3)
+        row when the first and the last time (clamped) lie on one still segment."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if len(ts):
+            s = np.clip(self.times.searchsorted(ts[[0, -1]], "right") - 1, 0, len(self.times) - 2)
+            if s[0] == s[1] and self._still[s[0]]:
+                return self.positions[s[0]][None].copy()
+        return self.positions_at(ts)
 
     def position_at(self, t: float) -> np.ndarray:
         """``positions_at([t])[0]``: the same np.interp loop, on one float."""
@@ -220,22 +243,23 @@ class IndirectObsModel:
     scramble: bool = True      # unlabeled detections: permute and flip signs
 
     def __post_init__(self):
-        if self.vd_noise < 0.0 or self.ego_noise < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not (0.0 <= self.vd_noise < math.inf and 0.0 <= self.ego_noise < math.inf):
+            raise ValueError("noise sigmas must be finite and >= 0")
 
 
 class Fans(NamedTuple):
     """F planar fans of rays and the primitives each may hit (``Scene.fan_candidates``)."""
 
     rows: np.ndarray      # (bounds + rects + 1, F) bools
-    origins: np.ndarray   # (F, 3)
+    origins: np.ndarray   # (F, 3), or (1, 3): one origin shared by every fan
     axes: np.ndarray      # (F, 3) unit: the direction halfway between the end rays
     normals: np.ndarray   # (F, 3) unit normal of the fan's plane; zero for a fan of one ray
     spread: float         # rad: every ray lies within it of the fan's axis
 
     def take(self, k):
         """The fans ``k`` (indices), in that order."""
-        return Fans(self.rows[:, k], self.origins[k], self.axes[k], self.normals[k], self.spread)
+        return Fans(self.rows[:, k], _rows(self.origins, k), self.axes[k], self.normals[k],
+                    self.spread)
 
 
 class Scene:
@@ -300,6 +324,7 @@ class Scene:
         the elevations b in ``beams``; u[f] and v[f] are orthonormal. Rows follow
         the bounds, then ``rects``, then the drone box around ``drone_centers[f]``,
         and are False only where no ray of the fan can hit (``_fan_may_hit``).
+        ``origins`` or ``drone_centers`` may be one (1, 3) row shared by every fan.
 
         A ray hits a rectangle at z0 only when it points toward the plane
         (``_ray_rect_z`` needs t > 0). A ray's z is cos(b) u_z + sin(b) v_z =
@@ -314,7 +339,7 @@ class Scene:
         (ux, uy, uz), (vx, vy, vz) = u.T, v.T
         normals = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx]).T
         n_bounds = len(self.bound_radii)
-        rows = np.zeros((n_bounds + len(self.rects) + 1, len(origins)), dtype=bool)
+        rows = np.zeros((n_bounds + len(self.rects) + 1, len(u)), dtype=bool)
         rows[:n_bounds] = _fan_may_hit(origins, axes, normals, self.bound_centers[:, None],
                                        self.bound_radii[:, None], spread)
         down = up = True
@@ -337,10 +362,13 @@ class Scene:
         ``origins`` and ``dirs`` are (n, 3) in any layout; the cast passes the
         transposes of C-ordered (3, n) per-axis rows, which are read without a
         copy, and every gather takes whole rows (``np.take(rows, sel, axis=1)``).
+        ``origins`` may be one (1, 3) row shared by every ray, which is broadcast,
+        never repeated; so are n rows of zero stride (``np.broadcast_to``).
         ``fans``, if given, is ``fan_candidates``' ``Fans`` for the F fans whose
-        rays these are, laid out fan by fan; ``drone_centers`` then holds one
-        centre per fan. Without ``fans`` each ray is a fan of its own, with its
-        own drone centre: ``fan_candidates`` with the ray as u, a zero v and one
+        rays these are, laid out fan by fan, ``len(dirs) // F`` rays per fan;
+        ``drone_centers`` then holds one centre per fan, or one shared row.
+        Without ``fans`` each ray is a fan of its own, with its own (or the
+        shared) drone centre: ``fan_candidates`` with the ray as u, a zero v and one
         beam at elevation 0 gives axis the ray, zero normal and spread 0. A
         non-finite origin, direction or drone centre then raises ``ValueError``.
 
@@ -353,6 +381,8 @@ class Scene:
         ``_fan_may_hit``), so ``t`` is the same, bit for bit, as testing every
         ray against every primitive.
         """
+        if len(origins) > 1 and origins.strides[0] == 0:
+            origins = origins[:1]
         if fans is None:
             if not all(np.isfinite(a).all() for a in (origins, dirs, drone_centers)
                        if a is not None):
@@ -360,8 +390,8 @@ class Scene:
             fans = self.fan_candidates(origins, dirs, np.zeros_like(dirs), np.zeros(1),
                                        drone_centers, drone_half)
         o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
-        per_fan = len(origins) // max(len(fans.origins), 1)
-        t = np.full(len(origins), np.inf)
+        per_fan = len(dirs) // max(len(fans.axes), 1)
+        t = np.full(len(dirs), np.inf)
         for g, lo, hi in self.boxes:
             _box_hits(o, d, _fan_rays(np.flatnonzero(fans.rows[g]), per_fan), lo, hi, t)
         spheres = [group for group in self.sphere_groups if fans.rows[group[0]].any()]
@@ -373,7 +403,7 @@ class Scene:
             t = np.minimum(t, _ray_rect_z(o.T, d.T, z0, cx, cy, hx, hy))
         if drone_centers is not None and drone_half > 0.0:
             ray = _fan_rays(np.flatnonzero(fans.rows[-1]), per_fan)
-            c = np.take(drone_centers, ray // per_fan, axis=0)
+            c = _rows(drone_centers, ray // per_fan)
             _box_hits(o, d, ray, c - drone_half, c + drone_half, t)
         return t
 
@@ -383,12 +413,17 @@ def _fan_rays(fan, per_fan):
     return (fan[:, None] * per_fan + np.arange(per_fan)).ravel()
 
 
+def _rows(a, k, axis=0):
+    """``np.take(a, k, axis)``, or ``a`` itself when it holds one row shared by all."""
+    return a if a.shape[axis] == 1 else np.take(a, k, axis=axis)
+
+
 def _box_hits(o, d, ray, lo, hi, t):
     """Lower ``t`` at the rays ``ray`` (indices) to their ``_ray_box`` hits on the
     box ``lo`` to ``hi``, one box or one per ray; rays are gathered from the (3, n)
-    rows ``o`` and ``d``."""
+    rows ``o`` (or its one shared column) and ``d``."""
     if len(ray):
-        t[ray] = np.minimum(t[ray], _ray_box(np.take(o, ray, axis=1).T,
+        t[ray] = np.minimum(t[ray], _ray_box(_rows(o, ray, axis=1).T,
                                              np.take(d, ray, axis=1).T, lo, hi))
 
 
@@ -410,11 +445,11 @@ def _sphere_fans(centers, radii, groups, fans):
         kept = np.flatnonzero(fans.rows[g])
         r = radii[first:end, None]
         s, f = np.nonzero(np.abs(centers[first:end] @ n[kept].T - along[kept])
-                          <= r + (slack[kept] + reach[first:end].max()))
+                          <= r + (_rows(slack, kept) + reach[first:end].max()))
         sphere.append(first + s)
         fan.append(kept[f])
     sphere, fan = np.concatenate(sphere), np.concatenate(fan)
-    near = _fan_may_hit(o[fan], fans.axes[fan], n[fan], centers[sphere], radii[sphere],
+    near = _fan_may_hit(_rows(o, fan), fans.axes[fan], n[fan], centers[sphere], radii[sphere],
                         fans.spread)
     return sphere[near], fan[near]
 
@@ -472,13 +507,13 @@ def _fan_may_hit(origins, axes, normals, centers, radius, spread):
 def _ray_spheres(o, d, centers, radii, sphere, ray, t):
     """Lower ``t`` to each ray's nearest positive hit on the spheres (``centers``
     (m, 3), ``radii``) over the (``sphere``, ``ray``) index pairs; rays are
-    gathered from the (3, n) rows ``o`` and ``d``."""
+    gathered from the (3, n) rows ``o`` (or its one shared column) and ``d``."""
     # Per-axis products summed as (x + z) + y: numpy's einsum kernel adds a
     # length-3 contraction in that order, so the bits match einsum's
     # "mnd,nd->mn" and "mnd,mnd->mn" on the (m, n, 3) offsets; (x + y) + z would not.
     if not len(ray):
         return
-    ox, oy, oz = (np.take(o[i], ray) - np.take(centers[:, i], sphere) for i in range(3))
+    ox, oy, oz = (_rows(o[i], ray) - np.take(centers[:, i], sphere) for i in range(3))
     dx, dy, dz = (np.take(d[i], ray) for i in range(3))
     b = (ox * dx + oz * dz) + oy * dy
     c = ((ox * ox + oz * oz) + oy * oy) - np.take(radii ** 2, sphere)
@@ -530,6 +565,8 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
     vehicle rotation is constant), origins and directions as (3, n) rows whose
     transposes go to ``nearest_hit``, and each block's returns written into one
     output array, of which only the pages the returns land on are touched.
+    A block's one row from ``position_rows`` is broadcast, never repeated per
+    firing or ray (the origin as a zero-stride view of the rays' count).
     """
     if lidar.range_noise > 0.0 and rng is None:
         raise ValueError("range noise requires an rng")
@@ -550,8 +587,8 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         phi = angle_fn(times)
         cp, sp = np.cos(phi), np.sin(phi)
         rot = trajectories.vehicle.rotation_rows(times)
-        veh_pos = trajectories.vehicle.positions_at(times)
-        drone_pos = trajectories.drone.positions_at(times) if drone is not None else None
+        veh_pos = trajectories.vehicle.position_rows(times)
+        drone_pos = trajectories.drone.position_rows(times) if drone is not None else None
 
         sa_cp, sa_sp = sa * cp, sa * sp
         u = np.array([r0 * sa_cp + r1 * sa_sp + r2 * ca for r0, r1, r2 in rot]).T
@@ -570,10 +607,11 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
         for i, (r0, r1, r2) in enumerate(rot_k):
             dirs[i] = (r0 * x + r2 * z) + r1 * y
         dirs = dirs.reshape(3, -1)
-        origins = np.repeat(veh_pos.T[:, k], n_beams, axis=1)
-        drone_centers = drone_pos[k] if drone is not None else None
+        origins = veh_pos.T if len(veh_pos) == 1 else np.repeat(veh_pos.T[:, k], n_beams, axis=1)
+        drone_centers = _rows(drone_pos, k) if drone is not None else None
 
-        t_hit = scene.nearest_hit(origins.T, dirs.T, drone_centers, drone_half, fans.take(k))
+        t_hit = scene.nearest_hit(np.broadcast_to(origins.T, dirs.T.shape), dirs.T,
+                                  drone_centers, drone_half, fans.take(k))
         hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= lidar.max_range))
         ranges = t_hit[hit]
         if lidar.range_noise > 0.0 and len(ranges):
@@ -582,7 +620,7 @@ def _cast(scene, trajectories, lidar, t0, duration, angle_fn, drone, rng):
             hit, ranges = hit[keep], ranges[keep]
         # (o_i + r d_i) - a_i per axis into a C-ordered (m, 3) array, then one matmul
         rel = np.empty((len(hit), 3))
-        np.subtract(np.take(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
+        np.subtract(_rows(origins, hit, axis=1) + ranges * np.take(dirs, hit, axis=1),
                     pose.translation[:, None], out=rel.T)
         np.matmul(rel, pose.rotation, out=points[n_points:n_points + len(hit)])
         n_points += len(hit)

@@ -47,15 +47,22 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
+MAX_CAST_POINTS = 1e7      # rays one sweep or vibration frame may cast
+# m: the largest magnitude of a coordinate, size or radius that reaches the cast. Its
+# slab test divides |lo - o| <= 3 MAX_EXTENT by 1e-300 for an axis-parallel ray.
+MAX_EXTENT = 1e6
+_EXTENT = f"within {MAX_EXTENT:g}"
+
 # key -> (type tag, default text or None when required, range rule). A rule is
-# "<op> <bound>", the bound a number or a key listed above it. None: any value
-# of the type, or the component that receives the value checks its range. A
-# rule bound by a key is checked once that key's component has accepted it.
+# "<op> <bound>", the bound a number or a key listed above it; "within" bounds
+# the magnitude of each component. None: any value of the type, or the component
+# that receives the value checks its range. A rule bound by a key is checked once
+# that key's component has accepted it.
 _SCHEMA = {
     "schema_version": ("int", None, "== 1"),
     "seed": ("int", None, ">= 0"),
     "duration": ("float", "30.0", "> 0"),
-    "drone.width": ("float", "0.5", None),
+    "drone.width": ("float", "0.5", _EXTENT),
     "projection.resolution": ("int", "512", "<= 1024"),
     "projection.fov_deg": ("float", "120.0", None),
     "projection.view_direction": ("vec3", "0 0 1", None),
@@ -88,26 +95,25 @@ _SCHEMA = {
     "motion.min_distance": ("float", "1.0", "> 0"),
 }
 
-MAX_CAST_POINTS = 1e7      # rays one sweep or vibration frame may cast
-
 _SCENE_FIELDS = {
     "kind": ("str", None, None),
-    "center": ("vec3", None, None),
-    "dimensions": ("vec3", "1 1 1", None),
+    "center": ("vec3", None, _EXTENT),
+    "dimensions": ("vec3", "1 1 1", _EXTENT),
     "count": ("int", "0", None),
-    "scatter_radius": ("float", "0.0", None),
+    "scatter_radius": ("float", "0.0", _EXTENT),
 }
 
 _WAYPOINT_FIELDS = {
     "time": ("float", None, None),
-    "position": ("vec3", None, None),
+    "position": ("vec3", None, _EXTENT),
     "rpy_deg": ("vec3", "0 0 0", None),
 }
 
 _INDEXED = re.compile(
     r"^(scene|drone\.waypoint|vehicle\.waypoint)\.(\d+)\.([a-z_]+)$")
 
-_OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt, "<=": operator.le}
+_OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt, "<=": operator.le,
+        "within": lambda value, limit: all(abs(v) <= limit for v in np.ravel(value).tolist())}
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -218,7 +224,8 @@ def _check_rule(key: str, value, rule: str, values: dict) -> None:
     op, _, bound = rule.partition(" ")
     limit = values[bound] if bound in values else float(bound)
     if not _OPS[op](value, limit):
-        raise ScenarioError(f"{key}: must be {rule}, got {value!r}")
+        got = _canonical("vec3", value) if np.ndim(value) else repr(value)
+        raise ScenarioError(f"{key}: must be {rule}, got {got}")
 
 
 def _indexed_group(raw: dict, prefix: str, fields: dict, resolved: dict) -> list:

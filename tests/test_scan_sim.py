@@ -336,6 +336,82 @@ class TestBroadPhase:
             scene.nearest_hit(rays["origin"], rays["dir"], *drone)
 
 
+def rays_from(rng, scene, origin):
+    """Unit directions from one ``origin``: random ones, axis-aligned ones and
+    ones with a signed zero component, and ones aimed at every sphere, bound and
+    box corner and at points near their rims (near-grazing)."""
+    n = 300
+    dirs = [unit(rng.normal(size=(n, 3)))]
+    axis = np.zeros((n, 3))
+    axis[np.arange(n), rng.integers(0, 3, n)] = rng.choice((-1.0, 1.0), n)
+    planar = unit(rng.normal(size=(n, 3)))
+    planar[np.arange(n), rng.integers(0, 3, n)] = rng.choice((0.0, -0.0), n)
+    dirs += [axis, unit(planar)]
+    aims = [p.center + p.dimensions / 2.0 * np.array(signs) for p in scene.primitives
+            if p.kind == "box" for signs in product((-1.0, 1.0), repeat=3)]
+    for centers, radii in ((scene.sphere_centers, scene.sphere_radii),
+                           (scene.bound_centers, scene.bound_radii)):
+        side = unit(np.cross(centers - origin + rng.normal(0.0, 1e-3, centers.shape),
+                             rng.normal(size=centers.shape)))
+        aims += [*centers, *(centers + radii[:, None] * side),
+                 *(centers + (1.0 + 1e-7) * radii[:, None] * side)]
+    aims = np.array(aims) - origin
+    dirs.append(unit(aims[np.linalg.norm(aims, axis=1) > 1e-6]))
+    return np.concatenate(dirs)
+
+
+@pytest.mark.exact("scan_sim.nearest_hit")
+class TestSharedOrigin:
+    """One (1, 3) origin and one (1, 3) drone centre give the bits of the same
+    origin and centre repeated per fan and per ray, culled or not."""
+
+    @pytest.mark.parametrize("shift", [np.zeros(3), FAR], ids=["origin", "far"])
+    def test_nearest_hit(self, shift):
+        rng = np.random.default_rng(20875)
+        beams = np.deg2rad(np.linspace(-15.0, 15.0, 16))
+        hits = 0
+        for half in (0.05, 0.25, 1.5):
+            scene = random_scene(rng, shift)
+            # in the open, at a bound's centre and at a blob sphere's centre
+            for origin in (shift + rng.uniform(-20, 20, 3), scene.bound_centers[-1],
+                           scene.sphere_centers[0]):
+                rays = rays_from(rng, scene, origin)
+                u, v, _, dirs = planar_fans(rng, np.repeat(origin[None], len(rays), 0), rays,
+                                            beams)
+                for drone in (origin + 6.0 * rays[0] + rng.normal(0.0, half, 3), origin):
+                    per_fan = [np.repeat(a[None], len(u), axis=0) for a in (origin, drone)]
+                    per_ray = [np.repeat(a[None], len(dirs), axis=0) for a in (origin, drone)]
+                    one = scene.fan_candidates(origin[None], u, v, beams, drone[None], half)
+                    each = scene.fan_candidates(*per_fan[:1], u, v, beams, per_fan[1], half)
+                    assert np.array_equal(one.rows, each.rows)
+                    ref = dense_nearest_hit(scene, per_ray[0], dirs, per_ray[1], half)
+                    for got in (scene.nearest_hit(origin[None], dirs, drone[None], half, one),
+                                scene.nearest_hit(np.broadcast_to(origin, dirs.shape), dirs,
+                                                  drone[None], half, one),
+                                scene.nearest_hit(per_ray[0], dirs, per_fan[1], half, each),
+                                scene.nearest_hit(origin[None], dirs, drone[None], half),
+                                scene.nearest_hit(per_ray[0], dirs, per_ray[1], half)):
+                        assert np.array_equal(got, ref)
+                    bare = dense_nearest_hit(scene, per_ray[0], dirs)
+                    assert np.array_equal(scene.nearest_hit(origin[None], dirs), bare)
+                    hits += np.count_nonzero(np.isfinite(ref))
+                    assert 0 < np.count_nonzero(~one.rows)
+        assert hits > 10_000
+
+    def test_fans_take_keeps_the_shared_row(self):
+        rng = np.random.default_rng(20876)
+        scene = random_scene(rng)
+        beams = np.deg2rad(np.linspace(-15.0, 15.0, 16))
+        origin = rng.uniform(-5, 5, 3)
+        rays = rays_from(rng, scene, origin)
+        u, v, _, _ = planar_fans(rng, np.repeat(origin[None], len(rays), 0), rays, beams)
+        fans = scene.fan_candidates(origin[None], u, v, beams)
+        k = np.flatnonzero(fans.rows.any(axis=0))
+        taken = fans.take(k)
+        assert taken.origins.shape == (1, 3) and np.array_equal(taken.origins[0], origin)
+        assert taken.rows.shape == (len(fans.rows), len(k)) and len(taken.axes) == len(k)
+
+
 def planar_fans(rng, origins, rays, beams, normals=None):
     """Fans of rays cos(b) u + sin(b) v from ``origins``, one per given ray,
     for the elevations b in ``beams``, from seeded orthonormal u and v. The
@@ -707,6 +783,127 @@ class TestRotationRows:
         assert isinstance(rows, np.ndarray) and rows.shape == (3, 3, len(ts))
 
 
+# Waypoint positions on uneven knots: still segments (one at +0.0), moving ones,
+# one moving by one ulp, a still one holding -0.0, and one whose ends are
+# +0.0 and -0.0 (equal, but not the same bits).
+_ONE = np.nextafter(1.0, 2.0)
+POSITION_KINDS = {
+    "still_moving_still": [(3.0, -2.5, 1.5), (3.0, -2.5, 1.5), (4.0, 1.0, -0.5), (4.0, 1.0, -0.5)],
+    "moving_still_moving": [(0.3, 0.1, 9.0), (7.0, -4.0, 2.0), (7.0, -4.0, 2.0), (6.0, 2.0, 1e3)],
+    "positive_zero_ulp": [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (_ONE, 1.0, 1.0)],
+    "negative_zero": [(0.0, -0.0, 1.5), (0.0, -0.0, 1.5), (-0.0, 2.0, 1.5), (-0.0, 2.0, 1.5)],
+    "signed_zero_ends": [(2.0, 0.0, 1.0), (2.0, -0.0, 1.0), (2.0, -0.0, 1.0), (-0.0, 0.0, 1.0)],
+}
+
+
+def position_trajectory(kind):
+    positions = POSITION_KINDS[kind]
+    return TrajectorySpec(POSE_KNOTS[:len(positions)], positions, [np.eye(3)] * len(positions))
+
+
+def position_blocks(knots):
+    """Non-decreasing blocks of firing times: each knot alone and one ulp either side,
+    blocks inside each segment, from a knot into its segment and from inside a
+    segment up to the next knot, blocks that straddle a knot, clamped blocks before
+    the first and after the last knot, and an empty block."""
+    blocks = [[t] for k in knots for t in (np.nextafter(k, -np.inf), k, np.nextafter(k, np.inf))]
+    for a, b in zip(knots[:-1], knots[1:]):
+        inside = list(a + (b - a) * np.linspace(0.1, 0.9, 7))
+        blocks += [inside, [a, *inside], [*inside, np.nextafter(b, -np.inf)], [*inside, b],
+                   [np.nextafter(a, np.inf), np.nextafter(b, -np.inf)]]
+    for a, b, c in zip(knots[:-2], knots[1:-1], knots[2:]):
+        blocks.append([(a + b) / 2.0, b, (b + c) / 2.0])
+    blocks += [[-1e6, knots[0] - 2.0, np.nextafter(knots[0], -np.inf)], [-1e6, knots[0]],
+               [knots[-1], knots[-1] + 3.0, 1e6], [np.nextafter(knots[-1], np.inf), 1e6], []]
+    return [np.array(b, dtype=float) for b in blocks]
+
+
+@pytest.mark.exact("scan_sim.position_rows")
+class TestPositionRows:
+    """``position_rows`` gives ``positions_at``'s bits, signed zeros included, and
+    one shared row only for a block on one segment that np.interp holds still."""
+
+    @pytest.mark.parametrize("kind", sorted(POSITION_KINDS))
+    def test_bits_of_positions_at(self, kind):
+        traj = position_trajectory(kind)
+        shared = 0
+        for ts in position_blocks(traj.times):
+            rows, want = traj.position_rows(ts), traj.positions_at(ts)
+            assert rows.dtype == float and rows.shape in ((1, 3), want.shape)
+            got = np.broadcast_to(rows, want.shape)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            shared += rows.shape == (1, 3) and len(ts) > 1
+        # 4 blocks of several times on each still segment (5 on the last, whose end
+        # knot is clamped into it), and 2 clamped blocks at each end that is still
+        assert shared == {"still_moving_still": 13, "moving_still_moving": 4,
+                          "positive_zero_ulp": 6, "negative_zero": 0, "signed_zero_ends": 0}[kind]
+
+    @pytest.mark.parametrize("kind, ts", [("still_moving_still", [-3.0, 0.0, 0.69]),
+                                          ("still_moving_still", [2.45, 4.0, 1e3]),
+                                          ("moving_still_moving", [0.7, 1.2, 2.4]),
+                                          ("positive_zero_ulp", [-1e3, 0.6])])
+    def test_one_row_on_a_still_segment(self, kind, ts):
+        traj = position_trajectory(kind)
+        rows = traj.position_rows(ts)
+        assert rows.shape == (1, 3) and rows.flags.c_contiguous
+        assert np.array_equal(rows[0], traj.position_at(ts[0]))
+        rows[:] = np.nan                  # a copy, not a view of the waypoints
+        assert np.isfinite(traj.positions).all()
+
+    @pytest.mark.parametrize("kind, ts", [("still_moving_still", [0.0, 0.7, 0.71]),
+                                          ("still_moving_still", [0.8, 1.0]),
+                                          ("moving_still_moving", [2.0, 2.45]),
+                                          ("positive_zero_ulp", [2.45, 3.0]),
+                                          ("negative_zero", [-1.0, 0.0]),
+                                          ("signed_zero_ends", [-1.0, 0.0]),
+                                          ("signed_zero_ends", [0.8, 2.4])])
+    def test_per_firing_rows_elsewhere(self, kind, ts):
+        traj = position_trajectory(kind)
+        assert traj.position_rows(ts).shape == (len(ts), 3)
+
+    def test_negative_zero_is_signed_at_the_knots_only(self):
+        # np.interp returns the waypoint's -0.0 at a knot and +0.0 between knots,
+        # so a still segment holding -0.0 has no one row that gives its bits
+        traj = position_trajectory("negative_zero")
+        ys = traj.positions_at([-1.3, -1.0, 0.0, 0.7])[:, 1]
+        assert ys.tolist() == [0.0] * 4 and np.signbit(ys).tolist() == [True, False, False, True]
+        assert traj.position_rows([-1.3, 0.0]).shape == (2, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [
+    lambda: TrajectorySpec([0.0, 1.0], [(0.0, 0.0, 0.0), (np.nan, 0.0, 0.0)], [np.eye(3)] * 2),
+    lambda: TrajectorySpec([0.0, 1.0], [(0.0, np.inf, 0.0)] * 2, [np.eye(3)] * 2),
+    lambda: TrajectorySpec([0.0, np.nan], [(0.0, 0.0, 0.0)] * 2, [np.eye(3)] * 2),
+    lambda: TrajectorySpec([0.0, np.inf], [(0.0, 0.0, 0.0)] * 2, [np.eye(3)] * 2),
+    lambda: TrajectorySpec([np.inf, np.inf], [(0.0, 0.0, 0.0)] * 2, [np.eye(3)] * 2),
+    lambda: ScenePrimitive("box", (np.nan, 0.0, 0.0)),
+    lambda: ScenePrimitive("box", (0.0, 0.0, 0.0), (1.0, np.inf, 1.0)),
+    lambda: ScenePrimitive("sphere", (0.0, -np.inf, 0.0), (1.0, 1.0, 1.0)),
+    lambda: ScenePrimitive("sparse_blob", (0.0, 0.0, 0.0), count=3, scatter_radius=np.nan),
+    lambda: LidarModel(range_noise=np.nan),
+    lambda: LidarModel(range_noise=np.inf),
+    lambda: LidarModel(azimuth_step=np.nan),
+    lambda: LidarModel(azimuth_step=np.inf),
+    lambda: LidarModel(max_range=np.nan),
+    lambda: LidarModel(points_per_second=np.nan),
+    lambda: LidarModel(beam_elevations=[0.0, np.nan]),
+    lambda: DroneModel(width=np.nan),
+    lambda: DroneModel(width=np.inf),
+    lambda: IndirectObsModel(vd_noise=np.nan),
+    lambda: IndirectObsModel(ego_noise=np.inf),
+], ids=["trajectory_nan_position", "trajectory_inf_position", "trajectory_nan_time",
+        "trajectory_inf_time", "trajectory_inf_times", "primitive_nan_center",
+        "primitive_inf_dimensions", "primitive_inf_center", "blob_nan_scatter",
+        "lidar_nan_range_noise", "lidar_inf_range_noise", "lidar_nan_azimuth_step",
+        "lidar_inf_azimuth_step", "lidar_nan_max_range", "lidar_nan_points_per_second",
+        "lidar_nan_beam", "drone_nan_width", "drone_inf_width", "obs_nan_vd_noise",
+        "obs_inf_ego_noise"])
+def test_non_finite_model_input_raises(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def layouts(a):
     """``a`` C-ordered, F-ordered and as the transpose of C-ordered (3, n) rows."""
     return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
@@ -779,6 +976,29 @@ CAST_CASES = [("static", "static", 0.0), ("static", None, 0.03),
               ("yawing", "moving", 0.03), ("yawing", None, 0.0)]
 
 
+# A knot 60 ms into the cast: inside the vibration frame and the sweep's first block.
+CAST_KNOT = CAST_START + 0.06
+# name -> (vehicle, drone, whether position_rows gives the vehicle and the drone one
+# row in every block): a drone that hovers and then moves, a vehicle that is still
+# and then translates, and a still vehicle at a -0.0 coordinate (per-firing rows).
+ONE_ROW_CASES = {
+    "drone_hovers_then_moves": (
+        lambda: static_trajectory((0.0, 0.0, 1.5), (1.0, -0.5, 2.0)),
+        lambda: TrajectorySpec([0.0, CAST_KNOT, 4.0], [DRONE_POS, DRONE_POS, (7.0, 5.0, 14.0)],
+                               [np.eye(3)] * 3),
+        (True, False)),
+    "vehicle_still_then_translates": (
+        lambda: TrajectorySpec([0.0, CAST_KNOT, 10.0],
+                               [(0.0, 0.0, 1.5), (0.0, 0.0, 1.5), (3.0, 1.0, 1.7)], [np.eye(3)] * 3),
+        lambda: static_trajectory(DRONE_POS),
+        (False, True)),
+    "vehicle_at_negative_zero": (
+        lambda: static_trajectory((0.0, -0.0, 1.5)),
+        lambda: static_trajectory(DRONE_POS),
+        (False, True)),
+}
+
+
 def cast_scene():
     return Scene([ScenePrimitive("ground_plane", (0.0, 0.0, 0.0), (80.0, 80.0, 1.0)),
                   ScenePrimitive("box", (12.0, 10.0, 4.0), (4.0, 4.0, 8.0)),
@@ -845,6 +1065,34 @@ class TestCastMatchesReference:
                               SWEEP_OMEGA, CAST_START, drone=DroneModel() if drone else None)
         assert len(got) > 10_000
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["vibration_frame", "full_scan"])
+    @pytest.mark.parametrize("case", sorted(ONE_ROW_CASES))
+    def test_one_row_or_per_firing(self, monkeypatch, case, sweep):
+        make_vehicle, make_drone, one_row = ONE_ROW_CASES[case]
+        traj = Trajectories(drone=make_drone(), vehicle=make_vehicle())
+        rows = ([], [])
+        real = TrajectorySpec.position_rows
+
+        def position_rows(spec, ts):
+            out = real(spec, ts)
+            rows[spec is traj.drone].append(len(out))
+            return out
+
+        monkeypatch.setattr(TrajectorySpec, "position_rows", position_rows)
+        if sweep:
+            got, ref = both_casts(monkeypatch, simulate_full_scan, 0.03, cast_scene(), traj,
+                                  LidarModel(range_noise=0.03, points_per_second=40000.0),
+                                  SWEEP_OMEGA, CAST_START, drone=DroneModel())
+        else:
+            got, ref = both_casts(monkeypatch, simulate_vibration_frame, 0.03, cast_scene(), traj,
+                                  LidarModel(range_noise=0.03), DRONE_AZIMUTH, VIBRATE_AMPLITUDE,
+                                  VIBRATE_PERIOD, CAST_START, drone=DroneModel())
+        assert len(got) > 1000
+        assert np.array_equal(got, ref)
+        assert len(rows[0]) == len(rows[1]) == (3 if sweep else 1)
+        for lengths, one in zip(rows, one_row):
+            assert all((n == 1) == one for n in lengths)
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["vibration_frame", "full_scan"])
     def test_canopy(self, monkeypatch, sweep):

@@ -28,6 +28,7 @@ from dronepose.scenario import (
     _SCHEMA,
     _WAYPOINT_FIELDS,
     MAX_CAST_POINTS,
+    MAX_EXTENT,
     ScenarioError,
     parse_scenario,
 )
@@ -76,26 +77,43 @@ def _fmt(kind: str, value) -> str:
     return str(int(value)) if kind == "int" else repr(float(value))
 
 
+def spec_of(key: str):
+    """(type tag, default, rule) of ``key``; an indexed key's from its group's fields."""
+    m = re.match(r"^(scene|drone\.waypoint|vehicle\.waypoint)\.\d+\.([a-z_]+)$", key)
+    if m is None:
+        return _SCHEMA[key]
+    return (_SCENE_FIELDS if m.group(1) == "scene" else _WAYPOINT_FIELDS)[m.group(2)]
+
+
 def rule_cases(key: str):
-    """(value text, accepted) at and just past ``key``'s rule, against BASE."""
-    kind, _, rule = _SCHEMA[key]
+    """(value text, accepted) at and just past ``key``'s rule, against BASE. A
+    "within" rule is passed by one component at a time, each side of zero."""
+    kind, _, rule = spec_of(key)
     op, _, bound = rule.partition(" ")
     limit = value_of(BASE, bound) if bound in _SCHEMA else float(bound)
 
     def past(direction):
         return limit + direction if kind == "int" else np.nextafter(limit, direction * np.inf)
 
+    if op == "within" and kind == "vec3":
+        out = float(past(1))
+        return [(f"{-out!r} 1.0 1.0", False), (f"1.0 {out!r} 1.0", False),
+                (f"1.0 1.0 {out!r}", False), (" ".join([repr(limit)] * 3), True)]
     rejected = {">": [limit, past(-1)], ">=": [past(-1)], "<=": [past(1)],
-                "==": [past(-1), past(1)]}[op]
+                "==": [past(-1), past(1)], "within": [past(1), -past(1)]}[op]
     cases = [(_fmt(kind, v), False) for v in rejected]
     return cases + ([] if op == ">" else [(_fmt(kind, limit), True)])
 
 
 RULED = [key for key, (_, _, rule) in _SCHEMA.items() if rule is not None]
+# BASE's scene.1 is a box: its scatter_radius is read and checked, then unused.
+RULED_INDEXED = ["scene.1.center", "scene.1.dimensions", "scene.1.scatter_radius",
+                 "drone.waypoint.0.position", "vehicle.waypoint.1.position"]
 
 
 @pytest.mark.parametrize("key, value, accepted",
-                         [(key, *case) for key in RULED for case in rule_cases(key)])
+                         [(key, *case) for key in RULED + RULED_INDEXED
+                          for case in rule_cases(key)])
 def test_rule_bound(key, value, accepted):
     text = text_of({**BASE, key: value})
     if accepted:
@@ -131,6 +149,56 @@ def test_one_sweep_or_frame_casts_at_most_the_cap(entries):
     with pytest.raises(ScenarioError, match=r"^lidar\.points_per_second: a .* more than "):
         parse_scenario(text_of({**BASE, **entries,
                                 "lidar.points_per_second": repr(at * (1 + 1e-9))}))
+
+
+# Every length that reaches the cast at MAX_EXTENT: far apart (huge boxes, a blob
+# scattered over 1e6 m, a 1e6 m drone, both bodies crossing the whole range), and
+# together at a corner of the range, where the drone is locked and tracked.
+AT_EXTENT = {
+    "far_apart": {
+        "scene.0.center": "-1e6 -1e6 -1e6", "scene.0.dimensions": "1e6 1e6 1",
+        "scene.1.center": "1e6 1e6 1e6", "scene.1.dimensions": "1e6 1e6 1e6",
+        "scene.2.kind": "sparse_blob", "scene.2.center": "-1e6 1e6 -1e6",
+        "scene.2.dimensions": "0.5 0.5 0.5", "scene.2.count": "50",
+        "scene.2.scatter_radius": "1e6", "drone.width": "1e6",
+        "drone.waypoint.0.position": "1e6 -1e6 1e6",
+        "drone.waypoint.1.position": "-1e6 1e6 -1e6",
+        "vehicle.waypoint.0.position": "-1e6 -1e6 -1e6",
+        "vehicle.waypoint.1.position": "1e6 1e6 1e6"},
+    "at_a_corner": {
+        "scene.0.center": "999970 -999970 999970", "scene.0.dimensions": "60 60 1",
+        "scene.1.center": "999980 -999970 999973",
+        "drone.waypoint.0.position": "999972 -999968.5 999978",
+        "drone.waypoint.1.position": "999972 -999967.5 999978",
+        "vehicle.waypoint.0.position": "999970 -999970 999971.5",
+        "vehicle.waypoint.1.position": "999970.5 -999970 999971.5"},
+}
+
+
+@pytest.mark.parametrize("case", AT_EXTENT)
+def test_lengths_at_the_extent_cast_without_a_warning(case, tmp_path, capsys):
+    # RuntimeWarnings are errors in this suite (pyproject.toml): an overflow fails here
+    path = tmp_path / "extent.scenario"
+    path.write_text(text_of({**BASE, **AT_EXTENT[case]}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    n_locked = int(re.search(r"^n_locked = (\d+)$", out, re.M).group(1))
+    assert (n_locked > 0) == (case == "at_a_corner")
+
+
+@pytest.mark.parametrize("override", ["scene.1.center=1e200 0 6",
+                                      "drone.waypoint.0.position=1e200 0 12",
+                                      "drone.width=1e200"])
+def test_lengths_past_the_extent_exit_one(override, tmp_path):
+    # each once overflowed in the cast: a RuntimeWarning and exit 0, or a traceback
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dronepose.cli", "run",
+         "--scenario", str(EXP1), "--out", str(tmp_path / "o"), "--overrides", "duration=4.0",
+         override], capture_output=True, text=True, timeout=30)
+    assert result.returncode == 1
+    key = override.partition("=")[0]
+    assert result.stderr.startswith(f"error: {key}: must be within {MAX_EXTENT:g}, got ")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("override", [
